@@ -61,3 +61,21 @@ def test_main_reports_failures(tmp_path, capsys):
                                   str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "README.md:1" in out and "gone.md" in out
+
+
+def test_untracked_file_does_not_satisfy_a_reference(tmp_path):
+    """In a git checkout only tracked files count: build output or a
+    stray local file must not hide a reference a clean checkout fails."""
+    import subprocess
+
+    (tmp_path / "README.md").write_text(
+        "see `docs/tracked.md` and `summary.json`\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "tracked.md").write_text("# tracked\n")
+    (tmp_path / "summary.json").write_text("{}\n")  # untracked stray
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    subprocess.run(["git", "-C", str(tmp_path), "add", "README.md",
+                    "docs/tracked.md"], check=True)
+    bad = check_docs_links.dangling(tmp_path)
+    assert [(p.name, line, target) for p, line, target in bad] == [
+        ("README.md", 1, "summary.json")]

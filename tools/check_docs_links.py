@@ -11,7 +11,10 @@ so a target is accepted when it resolves against the referencing
 file's directory or the repo root, or when it is a path *suffix* of
 some tracked file — a reference only fails when no file in the repo
 matches it at all, which is exactly the rename/delete rot this guard
-is for.
+is for. Only tracked files count (``git ls-files``; a plain directory
+walk when ``root`` is not a git checkout), so build output or a
+stray local file can never satisfy a reference that a clean checkout
+would fail.
 
 Usage::
 
@@ -23,10 +26,12 @@ any were found.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -41,16 +46,23 @@ SKIP_DIRS = {".git", ".repro_cache", "__pycache__", ".pytest_cache",
              ".hypothesis", ".claude"}
 
 
-def file_index(root: Path) -> List[str]:
-    """POSIX-style relative paths of every file under ``root``."""
-    paths = []
+def file_index(root: Path) -> Set[str]:
+    """POSIX-style relative paths of the files the check may match:
+    the tracked files of a git checkout, else every file under ``root``
+    outside :data:`SKIP_DIRS`."""
+    if (root / ".git").exists():
+        listing = subprocess.run(["git", "-C", str(root), "ls-files", "-z"],
+                                 capture_output=True, check=True).stdout
+        return {path for path in listing.decode().split("\0")
+                if path and (root / path).is_file()}
+    paths = set()
     for path in root.rglob("*"):
         if not path.is_file():
             continue
         rel = path.relative_to(root)
         if rel.parts[0] in SKIP_DIRS:
             continue
-        paths.append(rel.as_posix())
+        paths.add(rel.as_posix())
     return paths
 
 
@@ -70,14 +82,17 @@ def references(path: Path) -> Iterator[Tuple[int, str]]:
 
 
 def resolves(target: str, source: Path, root: Path,
-             index: List[str]) -> bool:
-    target = target.split("#", 1)[0]
+             index: Set[str]) -> bool:
+    target = target.split("#", 1)[0].rstrip("/")
     if not target:  # pure anchor: [back](#layering)
         return True
-    if (source.parent / target).exists() or (root / target).exists():
-        return True
-    return any(path == target or path.endswith("/" + target)
-               for path in index)
+    relative = os.path.normpath(
+        (source.parent.relative_to(root) / target).as_posix())
+    for candidate in (relative, os.path.normpath(target)):
+        if candidate in index or any(path.startswith(candidate + "/")
+                                     for path in index):
+            return True
+    return any(path.endswith("/" + target) for path in index)
 
 
 def dangling(root: Path) -> List[Tuple[Path, int, str]]:
