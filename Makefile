@@ -2,8 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke bench bench-perf bench-perf-smoke bench-profile \
-	sweep validate cache-stats clean-cache docs-links multidomain-smoke \
-	service-smoke placement-smoke scenarios-smoke
+	sweep validate cache-stats clean-cache docs-links
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,38 +52,6 @@ bench-perf-smoke:
 bench-profile:
 	$(PYTHON) -m repro perfbench --no-gate --repeats 1 \
 	    --output .bench_profile.json --profile-out perf.pstats
-
-# Two-point multi-domain budget sweep with acceptance checks: the
-# coordinated governor must post zero ledger violations, beat the
-# memory-only split on system energy, and (at the tight point) find a
-# feasible pair where neither domain alone could meet the cap.
-multidomain-smoke:
-	$(PYTHON) -m repro multidomain --smoke
-
-# Rank-aware placement acceptance run: short-epoch MID1 with the DDR3
-# protocol validator armed; the placed leg (page migration + self-
-# refresh parking) must beat plain MemScale on memory energy with zero
-# violations, ranks actually parked, the CPI bound respected, and the
-# migration copy ledger conserved.
-placement-smoke:
-	$(PYTHON) -m repro placement --smoke
-
-# Crash-safe sweep service end to end: tiny sweep with one injected
-# failing job (isolated as a failure record, not a sweep-wide raise),
-# resume executing only the unfinished job, and a store digest check
-# against an uninterrupted serial sweep. Leaves the queue + result
-# store in .repro_service_smoke/ for inspection (`repro query --dir`).
-service-smoke:
-	$(PYTHON) -m repro service smoke
-
-# Scenario-subsystem acceptance run, validator-armed end to end: the
-# bundled k6 trace must import and replay byte-identically (serial,
-# parallel, fast-forward off), every MPKI-ladder rung runs clean under
-# MemScale, and on each device table MemScale must beat Static within
-# the CPI bound while STT-MRAM shows its standby-power shift. Leaves
-# summary.json + the smoke cache in .repro_scenarios_smoke/.
-scenarios-smoke:
-	$(PYTHON) -m repro scenarios --smoke --jobs 2
 
 # Fail on dangling intra-repo references in README/docs/EXPERIMENTS/
 # DESIGN (markdown links and backtick-quoted paths).

@@ -102,7 +102,7 @@ def cap_summary_table(rows: Sequence[Dict[str, object]],
                       title: Optional[str] = "power-cap sweep") -> str:
     """Summary table of a cap sweep (one row per (mix, budget) point).
 
-    ``rows`` are the ``cap_sweep`` experiment's row dicts: ``workload``,
+    ``rows`` are :func:`repro.sim.jobs.cap_outcome_row` dicts: ``workload``,
     ``governor``, ``budget_fraction`` (None for the throttle reference),
     ``budget_w``, ``avg_power_w``, ``violations``, ``time_over_frac``,
     ``infeasible_epochs``, ``min_perf``, ``worst_cpi_increase``, and
@@ -142,7 +142,7 @@ def multidomain_summary_table(rows: Sequence[Dict[str, object]],
     """Summary table of a multi-domain sweep (one row per (mix, budget,
     leg) point).
 
-    ``rows`` are the ``multidomain_sweep`` experiment's row dicts:
+    ``rows`` are :func:`repro.sim.jobs.multidomain_outcome_row` dicts:
     ``workload``, ``governor``, ``budget_fraction``, ``budget_w``,
     ``avg_power_w``, ``avg_core_power_w``, ``avg_core_mhz``,
     ``violations``, ``infeasible_epochs``, ``min_perf``, and

@@ -5,9 +5,11 @@ Every experiment is reachable from the shell::
     python -m repro table1
     python -m repro run MID3 --policy MemScale --instructions 200000
     python -m repro sweep --mixes MID1 MID2 --policies MemScale Static --jobs 4
-    python -m repro sweep --scenarios mix1 mix4 --devices ddr3-1333 stt-mram
-    python -m repro cap --mixes MID1 --budgets 0.9 0.8 0.7
-    python -m repro placement --mixes MID1 --jobs 4
+    python -m repro sweep --kind cap --mixes MID1 --budgets 0.9 0.8 0.7
+    python -m repro sweep --kind multidomain --mixes MID1 --budgets 0.8
+    python -m repro sweep --kind placement --mixes MID1 --jobs 4
+    python -m repro sweep --kind scenario --scenarios mix1 mix4 \\
+        --devices ddr3-1333 stt-mram
     python -m repro governors
     python -m repro scenarios
     python -m repro trace import k6.trc --name myapp --cores 4
@@ -24,9 +26,12 @@ Every experiment is reachable from the shell::
     python -m repro best-static MID1
 
 All output is plain text (the same tables the benchmark harness prints).
-``sweep`` fans (mix x policy) combinations across worker processes with
-an on-disk artifact cache (``--jobs``, ``--cache-dir``, ``--no-cache``)
-and optional per-epoch telemetry JSONL streams (``--telemetry DIR``);
+``sweep`` fans the (mix x point) jobs of one experiment kind
+(``--kind``, see :data:`repro.sim.jobs.KINDS`) across worker processes
+with an on-disk artifact cache (``--jobs``, ``--cache-dir``,
+``--no-cache``) and optional per-epoch telemetry JSONL streams
+(``--telemetry DIR``), then runs the kind's acceptance check;
+``service run --kind`` queues the same jobs durably;
 ``bench --smoke`` is the CI smoke target running one tiny mix through
 the parallel path. ``scenarios`` lists the MPKI-laddered mix library
 and the device technology tables; ``trace import`` converts external
@@ -40,66 +45,25 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis import (cap_summary_table, device_energy_table,
-                            format_table, multidomain_summary_table)
-from repro.config import NS_PER_US, scaled_config
+from repro.analysis import format_table
+from repro.config import SystemConfig, scaled_config
 from repro.cpu.stats import workload_stats
-from repro.cpu.workloads import MIXES, known_mix_names, mix_names
+from repro.cpu.workloads import MIXES, known_mix_names
+from repro.scenarios.devices import apply_device
 from repro.sim import experiments
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import (run_cap_sweep, run_multidomain_sweep,
-                                run_placement_sweep, run_scenario_sweep,
-                                run_sweep, scenario_label, split_outcomes,
-                                sweep_table)
+from repro.sim.jobs import (KINDS, SWEEP_HEADERS, JobFailure, JobSpec,
+                            build_specs, cap_specs, check_cap_outcomes,
+                            split_outcomes, sweep_table)
+from repro.sim.parallel import run_jobs, run_sweep
 from repro.sim.runner import (GOVERNOR_INFO, IMPORTED_TRACE_PREFIX,
                               POLICY_NAMES, ExperimentRunner,
                               RunnerSettings, governor_listing)
 from repro.sim.telemetry import JsonlTelemetry
 
-#: Budget points of the cap smoke leg (`repro cap --smoke` and the
-#: capped leg of `repro bench --smoke`): a loose and a tight cap.
+#: Budget points of the capped leg of `repro bench --smoke`: a loose
+#: and a tight cap.
 SMOKE_BUDGET_FRACTIONS = (0.9, 0.75)
-
-#: Global-budget points of `repro multidomain --smoke`: a loose budget
-#: both domains could meet alone, and a tight one neither can — the
-#: point that demonstrates a coordinated split.
-SMOKE_MULTIDOMAIN_FRACTIONS = (0.8, 0.55)
-
-#: Default directory of `repro service smoke` (the CI artifact).
-SERVICE_SMOKE_DIR = ".repro_service_smoke"
-
-#: Default directory of `repro scenarios --smoke` (the CI artifact).
-SCENARIOS_SMOKE_DIR = ".repro_scenarios_smoke"
-
-#: Bundled DRAMSim2-style k6 trace the scenarios smoke imports.
-SCENARIOS_SMOKE_TRACE = "tests/data/sample_k6.trc"
-
-#: Ladder rungs x devices of the scenarios smoke's device leg: one
-#: high-MPKI rung (large savings headroom) and one low-MPKI rung.
-SCENARIOS_SMOKE_RUNGS = ("mix2", "mix5")
-
-#: CPI-degradation bound of the device leg. Tighter than the default
-#: 10%: the lowest static frequency happens to respect a loose bound on
-#: the low-power device tables at smoke scale, which would make the
-#: "MemScale beats Static" acceptance vacuous. At 5% the pinned-lowest
-#: Static violates the bound on the high-MPKI rungs of every device
-#: while MemScale adapts to stay inside it — the paper's actual claim.
-SCENARIOS_SMOKE_CPI_BOUND = 0.05
-
-#: Compliance slack on that bound (controller overshoot jitter).
-SCENARIOS_SMOKE_CPI_SLACK = 0.01
-
-#: Epoch/profile lengths of `repro placement --smoke` (ns). The
-#: placement policy acts only at epoch boundaries, so the smoke
-#: shortens epochs until a tiny run spans enough of them for
-#: classification, migration, and self-refresh parking to all fire.
-SMOKE_PLACEMENT_EPOCH_NS = 4_000.0
-SMOKE_PLACEMENT_PROFILE_NS = 400.0
-
-#: CPI-increase slack the placement smoke tolerates beyond the
-#: configured MemScale bound: self-refresh wake-ups and migration copy
-#: traffic add latency the frequency policy does not model.
-SMOKE_PLACEMENT_CPI_SLACK = 0.05
 
 
 def _report_failures(failed, what: str) -> None:
@@ -122,19 +86,10 @@ def _cache_from_args(args) -> Optional[ExperimentCache]:
     return ExperimentCache(cache_dir)
 
 
-def _device_config(config, device: Optional[str]):
-    """Swap a named device technology table into ``config`` (no-op when
-    ``device`` is falsy); unknown names exit with the registry listing."""
-    if not device:
-        return config
-    from repro.scenarios.devices import apply_device
-    try:
-        return apply_device(config, device)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
-
-
-def _make_runner(args) -> ExperimentRunner:
+def _config_from_args(args) -> SystemConfig:
+    """The scaled config with every simulation flag the command has
+    (``--device`` swaps in a device table; unknown names exit with the
+    registry listing)."""
     config = scaled_config()
     if getattr(args, "bound", None) is not None:
         config = config.with_policy(cpi_bound=args.bound)
@@ -146,13 +101,24 @@ def _make_runner(args) -> ExperimentRunner:
         config = config.replace(busy_absorption=False)
     if getattr(args, "approx_steady_state", False):
         config = config.replace(approx_steady_state=True)
-    config = _device_config(config, getattr(args, "device", None))
-    return ExperimentRunner(
-        config=config,
-        settings=RunnerSettings(cores=args.cores,
-                                instructions_per_core=args.instructions,
-                                seed=args.seed),
-        cache=_cache_from_args(args))
+    if getattr(args, "device", None):
+        try:
+            config = apply_device(config, args.device)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0])
+    return config
+
+
+def _settings_from_args(args) -> RunnerSettings:
+    return RunnerSettings(cores=args.cores,
+                          instructions_per_core=args.instructions,
+                          seed=args.seed)
+
+
+def _make_runner(args) -> ExperimentRunner:
+    return ExperimentRunner(config=_config_from_args(args),
+                            settings=_settings_from_args(args),
+                            cache=_cache_from_args(args))
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -195,6 +161,26 @@ def _add_retries_arg(parser: argparse.ArgumentParser,
     parser.add_argument("--retries", type=int, default=default,
                         help="extra attempts per job before recording "
                              f"its failure (default {default})")
+
+
+def _add_kind_args(parser: argparse.ArgumentParser) -> None:
+    """``--kind`` and the point axes it reads (see repro.sim.jobs)."""
+    parser.add_argument("--kind", choices=list(KINDS), default="policy",
+                        help="experiment kind (default policy)")
+    parser.add_argument("--policies", nargs="+", default=["MemScale"],
+                        metavar="POLICY",
+                        help=f"policies from {POLICY_NAMES} "
+                             f"(kind=policy/scenario)")
+    parser.add_argument("--budgets", nargs="+", type=float, default=None,
+                        metavar="FRAC",
+                        help="budget fractions (kind=cap: of each mix's "
+                             "baseline memory power; kind=multidomain: "
+                             "of baseline memory + nominal core power)")
+    parser.add_argument("--devices", nargs="+", default=None,
+                        metavar="NAME",
+                        help="device technology tables (kind=scenario; "
+                             "default ddr3-1333), each compared against "
+                             "its own baseline")
 
 
 def _check_mix(mix: str) -> str:
@@ -254,8 +240,9 @@ def cmd_run(args) -> None:
         ["average CPI increase", f"{cmp.avg_cpi_increase:+.1%}"],
         ["worst CPI increase", f"{cmp.worst_cpi_increase:+.1%}"],
     ]
-    point = (scenario_label(args.policy, args.device) if args.device
-             else args.policy)
+    point = (JobSpec("scenario", mix, policy=args.policy,
+                     device=args.device).point
+             if args.device else args.policy)
     print(format_table(["metric", "value"], rows,
                        title=f"{point} on {mix} vs baseline"))
     app_rows = [[app, f"{inc:+.1%}"]
@@ -268,59 +255,22 @@ def cmd_run(args) -> None:
         print("\nprotocol validator: armed, zero violations")
 
 
-def _scenario_row(o) -> dict:
-    """One :func:`device_energy_table` row from a ScenarioOutcome."""
-    return {
-        "workload": o.mix, "policy": o.policy, "device": o.device,
-        "memory_energy_j": o.result.memory_energy_j,
-        "background_share": o.background_share,
-        "mem_savings": o.comparison.memory_energy_savings,
-        "worst_cpi_increase": o.comparison.worst_cpi_increase,
-    }
-
-
-def _check_devices(devices) -> None:
-    from repro.scenarios.devices import lookup_device
-    for device in devices:
-        try:
-            lookup_device(device)
-        except KeyError as exc:
-            raise SystemExit(exc.args[0])
-
-
-def _sweep_devices(args, mixes, policies, config, settings,
-                   cache_dir) -> None:
-    """The (mix x policy x device) leg of ``repro sweep --devices``."""
-    _check_devices(args.devices)
-    start = time.perf_counter()
-    outcomes = run_scenario_sweep(mixes, policies, args.devices,
-                                  config=config, settings=settings,
-                                  jobs=args.jobs, cache_dir=cache_dir,
-                                  telemetry_dir=args.telemetry,
-                                  retries=args.retries)
-    wall = time.perf_counter() - start
-    good, failed = split_outcomes(outcomes)
-    if good:
-        print(device_energy_table(
-            [_scenario_row(o) for o in good],
-            title=f"scenario sweep: {len(mixes)} mixes x "
-                  f"{len(policies)} policies x "
-                  f"{len(args.devices)} devices"))
-    print("\nsavings are normalized within each device (vs that "
-          "device's own baseline);\n'standby' is background energy as a "
-          "share of DIMM energy")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    if args.save:
-        from repro.sim.serialize import save_results
-        save_results(args.save, [o.result for o in good]
-                     + [o.comparison for o in good])
-        print(f"results saved to {args.save}")
-    print(f"{len(good)} runs in {wall:.2f}s wall")
-    _report_failures(failed, "scenario sweep")
+def _job_specs(args, mixes: List[str]) -> List[JobSpec]:
+    """The specs a `sweep` or `service run` invocation asks for: one
+    ``--kind`` over ``mixes``, reading the kind's axes from ``--policies``
+    / ``--budgets`` / ``--devices``."""
+    for mix in mixes:
+        _check_mix(mix)
+    for policy in args.policies:
+        if policy not in POLICY_NAMES:
+            raise SystemExit(
+                f"unknown policy {policy!r}; registered governors are:\n"
+                f"{governor_listing()}")
+    try:
+        return build_specs(args.kind, mixes, args.policies, args.budgets,
+                           args.devices)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(exc.args[0])
 
 
 def cmd_sweep(args) -> None:
@@ -332,42 +282,24 @@ def cmd_sweep(args) -> None:
         mixes = list(MIXES)
     if args.scenarios:
         mixes += [m for m in args.scenarios if m not in mixes]
-    for mix in mixes:
-        _check_mix(mix)
-    policies = args.policies
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise SystemExit(
-                f"unknown policy {policy!r}; registered governors are:\n"
-                f"{governor_listing()}")
-    config = scaled_config()
-    if args.bound is not None:
-        config = config.with_policy(cpi_bound=args.bound)
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    settings = RunnerSettings(cores=args.cores,
-                              instructions_per_core=args.instructions,
-                              seed=args.seed)
+    specs = _job_specs(args, mixes)
+    kind = KINDS[args.kind]
+    config = _config_from_args(args)
     cache_dir = None if args.no_cache else args.cache_dir
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    if args.devices:
-        _sweep_devices(args, mixes, policies, config, settings, cache_dir)
-        return
     start = time.perf_counter()
-    outcomes = run_sweep(mixes, policies, config=config, settings=settings,
-                         jobs=args.jobs, cache_dir=cache_dir,
-                         telemetry_dir=args.telemetry,
-                         retries=args.retries)
+    outcomes = run_jobs(specs, config=config,
+                        settings=_settings_from_args(args), jobs=args.jobs,
+                        cache_dir=cache_dir, telemetry_dir=args.telemetry,
+                        retries=args.retries)
     wall = time.perf_counter() - start
     good, failed = split_outcomes(outcomes)
-    print(format_table(
-        ["workload", "policy", "mem savings", "sys savings",
-         "worst CPI", "job wall"],
-        sweep_table(outcomes),
-        title=f"sweep: {len(mixes)} mixes x {len(policies)} policies"))
+    if good:
+        print(kind.table(good, f"{kind.title}: {len(mixes)} mixes x "
+                               f"{len(specs) // len(mixes)} {kind.axis}"))
+    if kind.notes:
+        print(f"\n{kind.notes}")
     jobs = args.jobs if args.jobs is not None else "auto"
     cache_note = cache_dir if cache_dir is not None else "disabled"
     print(f"\n{len(good)} runs in {wall:.2f}s wall "
@@ -382,344 +314,13 @@ def cmd_sweep(args) -> None:
         save_results(args.save, [o.result for o in good]
                      + [o.comparison for o in good])
         print(f"results saved to {args.save}")
+    if kind.check is not None:
+        failures = kind.check(good, config)
+        if failures:
+            raise SystemExit(f"{kind.name.upper()} CHECKS FAILED:\n  "
+                             + "\n  ".join(failures))
+        print(f"{kind.name} acceptance checks passed")
     _report_failures(failed, "sweep")
-
-
-def _check_cap_outcomes(outcomes) -> List[str]:
-    """Smoke-grade acceptance checks on a cap sweep's outcomes.
-
-    Returns failure strings (empty = pass). Checks, per capped point:
-    (a) no silent overshoot — every accounted epoch stayed within the
-    budget's tolerance band or the ledger recorded a violation; and
-    (b) fairness — the capped run's min-app normalized performance is
-    no lower than the naive lowest-frequency throttle reference.
-    """
-    failures: List[str] = []
-    throttle = {o.mix: o for o in outcomes if o.budget_fraction is None}
-    for o in outcomes:
-        if o.budget_fraction is None:
-            continue
-        label = f"{o.mix}/cap{o.budget_fraction:.2f}"
-        cap = o.cap or {}
-        if not cap.get("epochs_accounted"):
-            failures.append(f"{label}: ledger accounted no epochs")
-            continue
-        tol = 1.0 + 0.01 + 1e-9
-        if (cap.get("violation_count", 0) == 0
-                and cap.get("peak_power_w", 0.0) > o.budget_w * tol):
-            failures.append(
-                f"{label}: silent overshoot — peak epoch power "
-                f"{cap['peak_power_w']:.2f}W over budget {o.budget_w:.2f}W "
-                f"with no recorded violation")
-        ref = throttle.get(o.mix)
-        if ref is not None and o.min_perf < ref.min_perf - 1e-9:
-            failures.append(
-                f"{label}: min-app normalized perf {o.min_perf:.4f} below "
-                f"the throttle reference {ref.min_perf:.4f}")
-    return failures
-
-
-def cmd_cap(args) -> None:
-    if args.smoke:
-        mixes = ["MID1"]
-        fractions = list(SMOKE_BUDGET_FRACTIONS)
-        settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                                  seed=2011)
-    else:
-        mixes = args.mixes if args.mixes else mix_names("MID")
-        fractions = args.budgets
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-    for mix in mixes:
-        _check_mix(mix)
-    if any(f <= 0 for f in fractions):
-        raise SystemExit("--budgets must be positive fractions of the "
-                         "baseline memory power")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_cap_sweep(mixes, fractions, config=config,
-                             settings=settings, jobs=args.jobs,
-                             cache_dir=cache_dir,
-                             telemetry_dir=args.telemetry,
-                             retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = [experiments.cap_outcome_row(o) for o in outcomes]
-    print(cap_summary_table(
-        rows, title=f"power-cap sweep: {len(mixes)} mixes x "
-                    f"{len(fractions)} budgets (+throttle reference)"))
-    print("\nbudgets are fractions of each mix's baseline average memory "
-          "power;\nThrottle rows pin the slowest static frequency (the "
-          "naive alternative)")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_cap_outcomes(outcomes)
-    if failures:
-        raise SystemExit("CAP CHECKS FAILED:\n  " + "\n  ".join(failures))
-    _report_failures(failed_jobs, "cap sweep")
-    if args.smoke:
-        print(f"\nCAP SMOKE OK: {len(outcomes)} runs "
-              f"({len(fractions)} budgets + throttle), {wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(cap enforcement checks passed)")
-
-
-def _check_multidomain_outcomes(outcomes,
-                                require_coordinated_split: bool = False
-                                ) -> List[str]:
-    """Smoke-grade acceptance checks on a multi-domain sweep's outcomes.
-
-    Returns failure strings (empty = pass). Per global-budget point:
-    (a) the ledger accounted epochs and recorded zero violations on the
-    coordinated leg — the governor never exceeds the global budget;
-    (b) the coordinated leg beats the memory-only CapGovernor reference
-    on explicit-split system energy. With ``require_coordinated_split``
-    (the smoke), the tightest budget must also be a genuinely
-    *coordinated* split: infeasible for either domain alone at max
-    frequency, yet with feasible (core, memory) pairs found.
-    """
-    failures: List[str] = []
-    coordinated = [o for o in outcomes if o.coordinated]
-    memory_only = {(o.mix, o.budget_fraction): o
-                   for o in outcomes if not o.coordinated}
-    for o in coordinated:
-        label = f"{o.mix}/md{o.budget_fraction:.2f}"
-        summary = o.summary or {}
-        if not summary.get("epochs_accounted"):
-            failures.append(f"{label}: ledger accounted no epochs")
-            continue
-        if summary.get("violation_count", 0) > 0:
-            failures.append(
-                f"{label}: {summary['violation_count']} epochs exceeded "
-                f"the global budget {o.budget_w:.2f}W")
-        ref = memory_only.get((o.mix, o.budget_fraction))
-        if ref is not None and o.system_energy_j >= ref.system_energy_j:
-            failures.append(
-                f"{label}: coordinated system energy "
-                f"{o.system_energy_j:.4f}J does not beat the memory-only "
-                f"reference {ref.system_energy_j:.4f}J")
-    if coordinated and require_coordinated_split:
-        tight = min(coordinated, key=lambda o: o.budget_fraction)
-        label = f"{tight.mix}/md{tight.budget_fraction:.2f}"
-        summary = tight.summary or {}
-        if not summary.get("core_max_infeasible_epochs"):
-            failures.append(
-                f"{label}: budget never infeasible for nominal cores "
-                f"alone (no coordination needed)")
-        if not summary.get("mem_max_infeasible_epochs"):
-            failures.append(
-                f"{label}: budget never infeasible for max-frequency "
-                f"memory alone (no coordination needed)")
-        decided = summary.get("epochs_decided", 0)
-        if decided - summary.get("infeasible_epochs", 0) <= 0:
-            failures.append(
-                f"{label}: governor found no feasible (core, memory) "
-                f"pair in any epoch")
-    return failures
-
-
-def cmd_multidomain(args) -> None:
-    if args.smoke:
-        mixes = ["MID1"]
-        fractions = list(SMOKE_MULTIDOMAIN_FRACTIONS)
-        settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                                  seed=2011)
-    else:
-        mixes = args.mixes if args.mixes else mix_names("MID")
-        fractions = args.budgets
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-    for mix in mixes:
-        _check_mix(mix)
-    if any(f <= 0 for f in fractions):
-        raise SystemExit("--budgets must be positive fractions of the "
-                         "baseline memory + nominal core power")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_multidomain_sweep(mixes, fractions, config=config,
-                                     settings=settings, jobs=args.jobs,
-                                     cache_dir=cache_dir,
-                                     telemetry_dir=args.telemetry,
-                                     retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = [experiments.multidomain_outcome_row(o) for o in outcomes]
-    print(multidomain_summary_table(
-        rows, title=f"multi-domain budget sweep: {len(mixes)} mixes x "
-                    f"{len(fractions)} global budgets "
-                    f"(+memory-only reference)"))
-    print("\nbudgets are fractions of each mix's baseline memory power "
-          "plus modeled\nnominal core power; MemOnly rows give the whole "
-          "remaining budget to a\nmemory-only CapGovernor (the "
-          "uncoordinated split)")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_multidomain_outcomes(
-        outcomes, require_coordinated_split=args.smoke)
-    if failures:
-        raise SystemExit("MULTIDOMAIN CHECKS FAILED:\n  "
-                         + "\n  ".join(failures))
-    _report_failures(failed_jobs, "multidomain sweep")
-    if args.smoke:
-        print(f"\nMULTIDOMAIN SMOKE OK: {len(outcomes)} runs "
-              f"({len(fractions)} budgets x coordinated+memory-only), "
-              f"{wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(budget-ledger checks passed)")
-
-
-def _check_placement_outcomes(outcomes, cpi_bound: float,
-                              require_parking: bool = False) -> List[str]:
-    """Smoke-grade acceptance checks on a placement sweep's outcomes.
-
-    Returns failure strings (empty = pass). Per placed leg: (a) lower
-    absolute memory energy than the plain-MemScale reference on the
-    same mix (the legs share the trace and the CPI-degradation target,
-    so the energy comparison is at equal perf loss); (b) CPI increase
-    within the MemScale bound plus a small slack for self-refresh
-    wake-ups and copy traffic. With ``require_parking`` (the smoke),
-    the placed leg must also show the machinery actually engaged:
-    pages migrated, ranks parked in self-refresh, and the migration
-    copy ledger conserved — every migrated line was either copied or
-    is still in the pump's tracked backlog when the run ends (nothing
-    silently dropped).
-    """
-    failures: List[str] = []
-    references = {o.mix: o for o in outcomes if not o.placed}
-    for o in outcomes:
-        if not o.placed:
-            continue
-        label = f"{o.mix}/placed"
-        summary = o.placement or {}
-        ref = references.get(o.mix)
-        if ref is not None \
-                and o.result.memory_energy_j >= ref.result.memory_energy_j:
-            failures.append(
-                f"{label}: memory energy {o.result.memory_energy_j:.4f}J "
-                f"does not beat plain MemScale "
-                f"{ref.result.memory_energy_j:.4f}J")
-        worst = o.comparison.worst_cpi_increase
-        if worst > cpi_bound + SMOKE_PLACEMENT_CPI_SLACK:
-            failures.append(
-                f"{label}: worst CPI increase {worst:+.1%} exceeds the "
-                f"bound {cpi_bound:.1%} plus "
-                f"{SMOKE_PLACEMENT_CPI_SLACK:.1%} slack")
-        if require_parking:
-            if not summary.get("parked_ranks"):
-                failures.append(f"{label}: no rank ever entered "
-                                "self-refresh")
-            if not summary.get("migrations"):
-                failures.append(f"{label}: no page was ever migrated")
-            copied = summary.get("lines_copied", 0)
-            backlog = summary.get("backlog", 0)
-            migrated = summary.get("migrated_lines", 0)
-            if copied + backlog != migrated:
-                failures.append(
-                    f"{label}: migration copy ledger does not conserve "
-                    f"— {copied} lines copied + {backlog} backlog != "
-                    f"{migrated} migrated")
-    return failures
-
-
-def cmd_placement(args) -> None:
-    if args.smoke:
-        mixes = ["MID1"]
-        settings = RunnerSettings(cores=4, instructions_per_core=60_000,
-                                  seed=2011)
-        # Short epochs so classification/parking cycle many times, and
-        # small pages in gentle per-epoch batches so the paced migration
-        # pump can drain them: the placed leg has to *win* on energy.
-        config = scaled_config().with_policy(
-            epoch_ns=SMOKE_PLACEMENT_EPOCH_NS,
-            profile_ns=SMOKE_PLACEMENT_PROFILE_NS).with_placement(
-            page_lines=32, migrations_per_epoch=4)
-        # The smoke always arms the protocol validator: zero violations
-        # with self-refresh parking active is part of the acceptance.
-        config = config.replace(validate_protocol=True)
-    else:
-        mixes = args.mixes if args.mixes else mix_names("MID")
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-        config = scaled_config()
-        if args.validate:
-            config = config.replace(validate_protocol=True)
-    for mix in mixes:
-        _check_mix(mix)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_placement_sweep(mixes, config=config, settings=settings,
-                                   jobs=args.jobs, cache_dir=cache_dir,
-                                   telemetry_dir=args.telemetry,
-                                   retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = []
-    for o in outcomes:
-        summary = o.placement or {}
-        rows.append([
-            o.mix, "Placed" if o.placed else "MemScale",
-            f"{o.result.memory_energy_j:.4f}",
-            f"{o.comparison.worst_cpi_increase:+.1%}",
-            str(summary.get("migrations", "-")),
-            str(summary.get("parked_ranks", "-")),
-            f"{o.wall_s:.2f}s",
-        ])
-    print(format_table(
-        ["workload", "leg", "mem energy (J)", "worst CPI",
-         "migrations", "parks", "job wall"],
-        rows, title=f"placement sweep: {len(mixes)} mixes x "
-                    f"(placed + plain-MemScale reference)"))
-    print("\nlegs share the trace and the CPI bound; energies are "
-          "absolute joules\n(enabling placement changes the baseline "
-          "run's decode, so the legs are\nnot normalized to a common "
-          "baseline)")
-    if args.smoke or args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_placement_outcomes(
-        outcomes, cpi_bound=config.policy.cpi_bound,
-        require_parking=args.smoke)
-    if failures:
-        raise SystemExit("PLACEMENT CHECKS FAILED:\n  "
-                         + "\n  ".join(failures))
-    _report_failures(failed_jobs, "placement sweep")
-    if args.smoke:
-        print(f"\nPLACEMENT SMOKE OK: {len(outcomes)} runs "
-              f"(placed + reference on MID1), {wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(placement checks passed)")
 
 
 def cmd_governors(args) -> None:
@@ -729,10 +330,11 @@ def cmd_governors(args) -> None:
         ["governor", "powerdown", "config knobs", "doc", "description"],
         rows, title="registered governors"))
     print("\nthe first eight are accepted by `run --policy` and "
-          "`sweep --policies`;\nCap runs via `repro cap`, MultiDomain "
-          "via `repro multidomain`,\nMemScale+Placement via `repro "
-          "placement`, MemScale/channel via the\nrepro.core.extensions "
-          "API (protocol + worked example: docs/governors.md)")
+          "`sweep --policies`;\nCap runs via `sweep --kind cap`, "
+          "MultiDomain via `sweep --kind multidomain`,\n"
+          "MemScale+Placement via `sweep --kind placement`, "
+          "MemScale/channel via the\nrepro.core.extensions API "
+          "(protocol + worked example: docs/governors.md)")
 
 
 def cmd_bench(args) -> None:
@@ -741,12 +343,7 @@ def cmd_bench(args) -> None:
                          "with: pytest benchmarks/ --benchmark-only -s")
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    config = _device_config(config, args.device)
+    config = _config_from_args(args)
     mix = _check_mix(args.scenario) if args.scenario else "MID1"
     settings = RunnerSettings(cores=4, instructions_per_core=8_000, seed=2011)
     cache_dir = None if args.no_cache else args.cache_dir
@@ -782,15 +379,13 @@ def cmd_bench(args) -> None:
     # Capped leg: a 2-point budget sweep through the same parallel path
     # (cache shared with the sweep above), checking the power-capping
     # governor's no-silent-overshoot and fairness guarantees in tier-1.
-    cap_outcomes, cap_failed = split_outcomes(run_cap_sweep(
-        ["MID1"], SMOKE_BUDGET_FRACTIONS, config=config,
+    cap_outcomes, cap_failed = split_outcomes(run_jobs(
+        cap_specs(["MID1"], SMOKE_BUDGET_FRACTIONS), config=config,
         settings=settings, jobs=args.jobs, cache_dir=cache_dir))
     failures.extend(f.summary() for f in cap_failed)
-    failures.extend(_check_cap_outcomes(cap_outcomes))
-    print(format_table(
-        ["workload", "policy", "mem savings", "sys savings",
-         "worst CPI", "job wall"],
-        sweep_table(outcomes), title="bench smoke (parallel path)"))
+    failures.extend(check_cap_outcomes(cap_outcomes))
+    print(format_table(SWEEP_HEADERS, sweep_table(outcomes),
+                       title="bench smoke (parallel path)"))
     if failures:
         raise SystemExit("SMOKE FAILED:\n  " + "\n  ".join(failures))
     print("validator: armed leg passed (zero protocol violations)")
@@ -892,233 +487,30 @@ def cmd_trace(args) -> None:
           f"--cache-dir {args.cache_dir}")
 
 
-def _check_scenario_outcomes(outcomes, devices,
-                             cpi_bound: float = SCENARIOS_SMOKE_CPI_BOUND
-                             ) -> List[str]:
-    """Acceptance checks of the scenarios smoke's device leg.
-
-    Per device table: MemScale must beat Static on at least one ladder
-    rung, where "beats" honours the performance bound — a policy only
-    qualifies while its worst CPI increase stays within the bound (plus
-    controller-jitter slack), and among qualifying policies higher
-    memory savings wins. Across tables: the STT-MRAM-like part's
-    near-zero standby currents must show up as a lower background
-    (standby) share of DIMM energy than the DDR3-1333 baseline's.
-    """
-    failures: List[str] = []
-    by = {(o.mix, o.policy, o.device): o for o in outcomes}
-    mixes = list(dict.fromkeys(o.mix for o in outcomes))
-    limit = cpi_bound + SCENARIOS_SMOKE_CPI_SLACK
-
-    def qualifies(o) -> bool:
-        return o.comparison.worst_cpi_increase <= limit
-
-    def beats(mix: str, device: str) -> bool:
-        mine = by.get((mix, "MemScale", device))
-        ref = by.get((mix, "Static", device))
-        if mine is None or ref is None:
-            return False
-        if not (qualifies(mine)
-                and mine.comparison.memory_energy_savings > 0):
-            return False
-        return (not qualifies(ref)
-                or (mine.comparison.memory_energy_savings
-                    > ref.comparison.memory_energy_savings))
-
-    for device in devices:
-        if not any(beats(mix, device) for mix in mixes):
-            failures.append(
-                f"{device}: MemScale beat Static on no ladder rung "
-                f"(within the {cpi_bound:.0%} CPI bound)")
-
-    def share(device: str) -> float:
-        vals = [o.background_share for o in outcomes
-                if o.device == device]
-        return sum(vals) / len(vals) if vals else 0.0
-
-    if "stt-mram" in devices and "ddr3-1333" in devices:
-        if share("stt-mram") >= share("ddr3-1333"):
-            failures.append(
-                f"stt-mram standby share {share('stt-mram'):.1%} is not "
-                f"below ddr3-1333's {share('ddr3-1333'):.1%}")
-    return failures
-
-
-def _scenarios_smoke(args) -> None:
-    """CI leg: trace ingestion + ladder + device tables, end to end.
-
-    Three checks, all validator-armed: (a) the bundled k6 trace imports
-    into the smoke directory's cache and replays byte-identically
-    across serial, ``--jobs N``, and fast-forward-off legs; (b) every
-    ladder rung runs under MemScale with zero protocol violations; (c)
-    a (rung x policy x device) sweep where MemScale beats Static on at
-    least one rung per device and the STT-MRAM table shows the expected
-    standby-power shift. Writes ``summary.json`` for the CI artifact.
-    """
-    import dataclasses as _dc
-    import json as _json
-    import shutil
-    from pathlib import Path
-
-    from repro import scenarios as scn
-    from repro.scenarios.ingest import TraceFormatError, import_trace
-    from repro.sim.serialize import run_result_to_dict
-
-    directory = Path(args.dir if args.dir else SCENARIOS_SMOKE_DIR)
-    shutil.rmtree(directory, ignore_errors=True)
-    directory.mkdir(parents=True, exist_ok=True)
-    cache_dir = str(directory / "cache")
-    failures: List[str] = []
-    start = time.perf_counter()
-    config = scaled_config().replace(validate_protocol=True)
-    settings = RunnerSettings(cores=4,
-                              instructions_per_core=args.instructions,
-                              seed=2011)
-
-    # Leg 1: ingest the bundled k6 trace, replay it three ways.
-    try:
-        trace, summary = import_trace(args.trace, "sample-k6", config.org,
-                                      cores=4)
-    except (TraceFormatError, FileNotFoundError, OSError) as exc:
-        raise SystemExit(f"SCENARIOS SMOKE FAILED:\n  cannot ingest "
-                         f"{args.trace}: {exc}")
-    ExperimentCache(cache_dir).store_imported_trace(
-        "sample-k6", trace, _dc.asdict(summary))
-    mix = "trace:sample-k6"
-    replay_legs = {}
-    for leg, jobs, cfg in (
-            ("serial", 1, config),
-            (f"jobs={args.jobs}", args.jobs, config),
-            ("no-fast-forward", 1, config.replace(fast_forward=False))):
-        outcomes = run_sweep([mix], ["MemScale", "Static"], config=cfg,
-                             settings=settings, jobs=jobs,
-                             cache_dir=cache_dir)
-        good, failed = split_outcomes(outcomes)
-        failures.extend(f"replay {leg}: {f.summary()}" for f in failed)
-        replay_legs[leg] = _json.dumps(
-            {o.policy: run_result_to_dict(o.result) for o in good},
-            sort_keys=True)
-    if len(set(replay_legs.values())) > 1:
-        failures.append("imported-trace replay is not byte-identical "
-                        "across serial / parallel / fast-forward legs")
-    else:
-        print(f"trace: {summary.requests} requests ({summary.format}) "
-              f"-> {mix}; replay byte-identical across "
-              f"{len(replay_legs)} legs")
-
-    # Leg 2: every ladder rung under MemScale, validator armed.
-    rungs = scn.scenario_names()
-    outcomes = run_sweep(rungs, ["MemScale"], config=config,
-                         settings=settings, jobs=args.jobs,
-                         cache_dir=cache_dir)
-    good, failed = split_outcomes(outcomes)
-    failures.extend(f"ladder: {f.summary()}" for f in failed)
-    print(f"ladder: {len(good)}/{len(rungs)} rungs ran validator-armed "
-          f"under MemScale, zero violations")
-
-    # Leg 3: (rung x policy x device), each device against its own
-    # baseline, under the tight performance bound (see
-    # SCENARIOS_SMOKE_CPI_BOUND).
-    devices = scn.device_names()
-    device_config = config.with_policy(
-        cpi_bound=SCENARIOS_SMOKE_CPI_BOUND)
-    outcomes = run_scenario_sweep(list(SCENARIOS_SMOKE_RUNGS),
-                                  ("MemScale", "Static"), devices,
-                                  config=device_config, settings=settings,
-                                  jobs=args.jobs, cache_dir=cache_dir)
-    dev_good, failed = split_outcomes(outcomes)
-    failures.extend(f"devices: {f.summary()}" for f in failed)
-    if dev_good:
-        print()
-        print(device_energy_table([_scenario_row(o) for o in dev_good]))
-    failures.extend(_check_scenario_outcomes(dev_good, devices))
-
-    wall = time.perf_counter() - start
-    (directory / "summary.json").write_text(_json.dumps({
-        "import": _dc.asdict(summary),
-        "replay_identical": len(set(replay_legs.values())) == 1,
-        "ladder_rungs": rungs,
-        "devices": [_scenario_row(o) for o in dev_good],
-        "failures": failures,
-        "wall_s": wall,
-    }, indent=1, sort_keys=True) + "\n")
-    if failures:
-        raise SystemExit("SCENARIOS SMOKE FAILED:\n  "
-                         + "\n  ".join(failures))
-    print(f"\nSCENARIOS SMOKE OK: {len(rungs)} rungs, "
-          f"{len(devices)} device tables, ingested replay deterministic; "
-          f"{wall:.2f}s wall (artifacts in {directory}/)")
-
-
 def cmd_scenarios(args) -> None:
     from repro import scenarios as scn
 
-    if args.smoke:
-        _scenarios_smoke(args)
-        return
     print(scn.scenario_listing())
     print()
     print(scn.device_listing())
     print("\nrun a rung    : repro run mix2 --cores 4 --device stt-mram"
-          "\nsweep devices : repro sweep --scenarios mix1 mix4 "
-          "--devices ddr3-1333 stt-mram"
+          "\nsweep devices : repro sweep --kind scenario --scenarios "
+          "mix1 mix4 --devices ddr3-1333 stt-mram"
           "\nimport traces : repro trace import FILE --name NAME; "
           "repro run trace:NAME")
 
 
-def _service_specs(args):
-    """Build the JobSpec list a `repro service run` invocation asks for."""
-    from repro.sim import service as svc
-
-    mixes = args.mixes if args.mixes else ["MID1"]
-    for mix in mixes:
-        _check_mix(mix)
-    if args.kind in ("policy", "scenario"):
-        for policy in args.policies:
-            if policy not in POLICY_NAMES:
-                raise SystemExit(
-                    f"unknown policy {policy!r}; registered governors "
-                    f"are:\n{governor_listing()}")
-        if args.kind == "policy":
-            return svc.policy_specs(mixes, args.policies)
-        devices = args.devices if args.devices else ["ddr3-1333"]
-        _check_devices(devices)
-        return svc.scenario_specs(mixes, args.policies, devices)
-    if args.kind == "placement":
-        return svc.placement_specs(mixes)
-    if not args.budgets:
-        raise SystemExit(f"--kind {args.kind} needs --budgets")
-    if any(f <= 0 for f in args.budgets):
-        raise SystemExit("--budgets must be positive fractions")
-    if args.kind == "cap":
-        return svc.cap_specs(mixes, args.budgets)
-    return svc.multidomain_specs(mixes, args.budgets)
-
-
 def _service_report(service, outcomes, wall: float, verb: str) -> None:
     """Shared tail of `service run` / `service resume`."""
-    from repro.sim.parallel import (JobFailure, cap_label,
-                                    multidomain_label, placement_label)
-
-    def point(o) -> str:
-        if hasattr(o, "device"):
-            return scenario_label(o.policy, o.device)
-        if hasattr(o, "policy"):
-            return o.policy
-        if hasattr(o, "placed"):
-            return placement_label(o.placed)
-        if hasattr(o, "coordinated"):
-            return multidomain_label(o.budget_fraction, o.coordinated)
-        return cap_label(o.budget_fraction)
-
     good, failed = split_outcomes(outcomes)
     rows = []
     for o in outcomes:
+        point = o.label.split("/", 1)[-1]
         if isinstance(o, JobFailure):
-            rows.append([o.mix, o.label.split("/", 1)[-1], "FAILED",
+            rows.append([o.mix, point, "FAILED",
                          f"{o.error_type}: {o.message}"])
         else:
-            rows.append([o.mix, point(o), "ok",
+            rows.append([o.mix, point, "ok",
                          f"sys {o.comparison.system_energy_savings:+.1%}"])
     status = service.status()
     print(format_table(["workload", "point", "status", "detail"], rows,
@@ -1162,101 +554,15 @@ def _cmd_service(args, svc) -> None:
                         "resume")
         return
 
-    if args.service_command == "smoke":
-        _service_smoke(args)
-        return
-
     # run
-    settings = RunnerSettings(cores=args.cores,
-                              instructions_per_core=args.instructions,
-                              seed=args.seed)
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    service = svc.SweepService(args.dir, config=config, settings=settings,
+    specs = _job_specs(args, args.mixes or ["MID1"])
+    service = svc.SweepService(args.dir, config=_config_from_args(args),
+                               settings=_settings_from_args(args),
                                telemetry_dir=args.telemetry,
                                jobs=args.jobs, retries=args.retries)
-    specs = _service_specs(args)
     start = time.perf_counter()
     outcomes = service.run(specs, fail_labels=args.fail_label or None)
     _service_report(service, outcomes, time.perf_counter() - start, "run")
-
-
-def _service_smoke(args) -> None:
-    """CI leg: tiny sweep with one injected failing job, resume, query.
-
-    Exercises the whole crash-safe path — failure record instead of a
-    sweep-wide raise, resume executing only the unfinished job, store
-    identical (by deterministic digest) to what a straight serial sweep
-    produces.
-    """
-    import shutil
-
-    from repro.sim import service as svc
-    from repro.sim.serialize import run_result_to_dict
-    from repro.sim.store import deterministic_digest
-
-    directory = args.dir if args.dir else SERVICE_SMOKE_DIR
-    shutil.rmtree(directory, ignore_errors=True)
-    settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                              seed=2011)
-    mixes, policies = ["MID1"], ["Static", "MemScale"]
-    poison = "MID1/MemScale"
-    failures: List[str] = []
-    start = time.perf_counter()
-
-    service = svc.SweepService(directory, settings=settings,
-                               jobs=args.jobs, retries=0)
-    outcomes = service.run(svc.policy_specs(mixes, policies),
-                           fail_labels=[poison])
-    good, failed = split_outcomes(outcomes)
-    if len(good) != len(policies) - 1 or len(failed) != 1:
-        failures.append(f"poisoned run: expected {len(policies) - 1} ok "
-                        f"+ 1 failure, got {len(good)} ok "
-                        f"+ {len(failed)} failed")
-    elif failed[0].error_type != "InjectedFailure":
-        failures.append(f"failure record carries {failed[0].error_type}, "
-                        "expected InjectedFailure")
-
-    # Interrupted-then-resumed service == uninterrupted serial sweep.
-    resumed = svc.SweepService.open(directory).resume()
-    _, still_failed = split_outcomes(resumed)
-    if still_failed:
-        failures.append("resume did not heal the injected failure")
-    reference = run_sweep(mixes, policies, settings=settings, jobs=1,
-                          cache_dir=service.cache_dir)
-    by_key = {(o.mix, o.policy): o for o in resumed
-              if not isinstance(o, svc.JobFailure)}
-    for ref in reference:
-        mine = by_key.get((ref.mix, ref.policy))
-        if mine is None or (run_result_to_dict(mine.result)
-                            != run_result_to_dict(ref.result)):
-            failures.append(f"{ref.mix}/{ref.policy}: resumed result "
-                            "differs from the uninterrupted serial run")
-    digests = {r["key"]: deterministic_digest(r)
-               for r in service.store.records()}
-    if len(digests) != len(policies):
-        failures.append(f"store holds {len(digests)} records, "
-                        f"expected {len(policies)}")
-
-    # Query path over the accumulated store.
-    hits = service.store.query(mix="MID1", status="ok")
-    if len(hits) != len(policies):
-        failures.append(f"query returned {len(hits)} ok records, "
-                        f"expected {len(policies)}")
-
-    wall = time.perf_counter() - start
-    if failures:
-        raise SystemExit("SERVICE SMOKE FAILED:\n  "
-                         + "\n  ".join(failures))
-    print(f"service: poisoned job isolated ({poison}), "
-          f"{len(good)} good outcomes preserved")
-    print(f"service: resume healed the failure; store byte-identical "
-          f"to the uninterrupted serial sweep")
-    print(f"query: {len(hits)} ok records for MID1")
-    print(f"\nSERVICE SMOKE OK: store in {directory}/, {wall:.2f}s wall")
 
 
 def cmd_query(args) -> None:
@@ -1407,19 +713,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep",
-                       help="parallel (mix x policy) sweep with caching")
+                       help="parallel (mix x point) sweep of one "
+                            "experiment kind, with caching")
     p.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
                    help="mixes to sweep (default: all twelve Table-1 "
                         "mixes, or just --scenarios when given)")
     p.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
                    help="scenario-library rungs to add to the mix list "
                         "(mix1..mix7; see `repro scenarios`)")
-    p.add_argument("--devices", nargs="+", default=None, metavar="NAME",
-                   help="device technology tables: sweep (mix x policy "
-                        "x device) instead, each device compared against "
-                        "its own baseline")
-    p.add_argument("--policies", nargs="+", default=["MemScale"],
-                   metavar="POLICY", help=f"policies from {POLICY_NAMES}")
+    _add_kind_args(p)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: up to 8, one per CPU)")
     p.add_argument("--telemetry", default=None, metavar="DIR",
@@ -1436,84 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ff_arg(p)
     _add_retries_arg(p)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("cap",
-                       help="power-cap budget sweep with violation and "
-                            "fairness stats")
-    p.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
-                   help="mixes to cap (default: the four MID mixes)")
-    p.add_argument("--budgets", nargs="+", type=float,
-                   default=list(experiments.DEFAULT_BUDGET_FRACTIONS),
-                   metavar="FRAC",
-                   help="budgets as fractions of each mix's baseline "
-                        "memory power (default: 1.0 .. 0.6)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny 2-point sweep on MID1 with acceptance "
-                        "checks (cap enforcement + fairness)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker")
-    _add_scale_args(p)
-    _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
-    p.set_defaults(func=cmd_cap)
-
-    p = sub.add_parser("multidomain",
-                       help="coordinated CPU+memory sweep under one "
-                            "global power budget")
-    p.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
-                   help="mixes to run (default: the four MID mixes)")
-    p.add_argument("--budgets", nargs="+", type=float,
-                   default=list(experiments.DEFAULT_MULTIDOMAIN_FRACTIONS),
-                   metavar="FRAC",
-                   help="global budgets as fractions of each mix's "
-                        "baseline memory + nominal core power "
-                        "(default: 1.0 .. 0.65)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny 2-point sweep on MID1 with acceptance "
-                        "checks (budget enforcement + coordinated split "
-                        "beats memory-only capping)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker")
-    _add_scale_args(p)
-    _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
-    p.set_defaults(func=cmd_multidomain)
-
-    p = sub.add_parser("placement",
-                       help="rank-aware page placement + self-refresh "
-                            "sweep vs plain MemScale")
-    p.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
-                   help="mixes to run (default: the four MID mixes)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny shortened-epoch run on MID1 with "
-                        "acceptance checks (placement+SR beats plain "
-                        "MemScale on memory energy, validator armed, "
-                        "ranks actually parked)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker "
-                        "(the smoke always does)")
-    _add_scale_args(p)
-    _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
-    p.set_defaults(func=cmd_placement)
 
     p = sub.add_parser("governors",
                        help="list every registered governor")
@@ -1568,22 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenarios",
                        help="list the MPKI-laddered scenario library "
                             "and device technology tables")
-    p.add_argument("--smoke", action="store_true",
-                   help="acceptance leg: ingest the bundled k6 trace, "
-                        "replay it deterministically, run every ladder "
-                        "rung and device table validator-armed")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="worker processes for the smoke legs (default 2)")
-    p.add_argument("--instructions", type=int, default=8_000,
-                   help="instructions per core in the smoke runs "
-                        "(default 8000)")
-    p.add_argument("--trace", default=SCENARIOS_SMOKE_TRACE,
-                   metavar="FILE",
-                   help=f"k6 trace the smoke ingests (default "
-                        f"{SCENARIOS_SMOKE_TRACE})")
-    p.add_argument("--dir", default=None, metavar="DIR",
-                   help=f"smoke working directory (default "
-                        f"{SCENARIOS_SMOKE_DIR}; recreated fresh)")
     p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("trace",
@@ -1642,23 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dir", required=True, metavar="DIR",
                     help="service directory (queue.jsonl + store/ + "
                          "cache/)")
-    sp.add_argument("--kind",
-                    choices=["policy", "cap", "multidomain", "placement",
-                             "scenario"],
-                    default="policy",
-                    help="sweep flavour (default policy)")
     sp.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
                     help="mixes to sweep (default: MID1)")
-    sp.add_argument("--policies", nargs="+", default=["MemScale"],
-                    metavar="POLICY",
-                    help=f"policies from {POLICY_NAMES} "
-                         f"(kind=policy/scenario)")
-    sp.add_argument("--budgets", nargs="+", type=float, default=None,
-                    metavar="FRAC",
-                    help="budget fractions (kind=cap/multidomain)")
-    sp.add_argument("--devices", nargs="+", default=None, metavar="NAME",
-                    help="device technology tables (kind=scenario; "
-                         "default ddr3-1333)")
+    _add_kind_args(sp)
     sp.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: up to 8, one per "
                          "CPU)")
@@ -1693,17 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dir", required=True, metavar="DIR")
     sp.set_defaults(func=cmd_service)
 
-    sp = ssub.add_parser("smoke",
-                         help="CI leg: tiny sweep with one injected "
-                              "failing job, resume, query, store "
-                              "digest check")
-    sp.add_argument("--dir", default=None, metavar="DIR",
-                    help=f"service directory (default "
-                         f"{SERVICE_SMOKE_DIR}; recreated fresh)")
-    sp.add_argument("--jobs", type=int, default=2,
-                    help="worker processes (default 2)")
-    sp.set_defaults(func=cmd_service)
-
     p = sub.add_parser("query",
                        help="query a service directory's accumulated "
                             "result store")
@@ -1713,10 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default=None,
                    help="filter by point (policy name, Cap0.80, "
                         "MD0.70, ...)")
-    p.add_argument("--kind", default=None,
-                   choices=["policy", "cap", "multidomain", "placement",
-                            "scenario"],
-                   help="filter by sweep flavour")
+    p.add_argument("--kind", default=None, choices=list(KINDS),
+                   help="filter by experiment kind")
     p.add_argument("--status", default=None, choices=["ok", "failed"],
                    help="filter by record status")
     p.add_argument("--jsonl", action="store_true",

@@ -364,14 +364,6 @@ class SystemConfig:
     #: experiment cache fingerprint. Default off.
     approx_steady_state: bool = False
 
-    @property
-    def max_bus_freq_mhz(self) -> float:
-        return max(self.bus_freqs_mhz)
-
-    @property
-    def min_bus_freq_mhz(self) -> float:
-        return min(self.bus_freqs_mhz)
-
     def sorted_bus_freqs(self) -> List[float]:
         """Candidate bus frequencies, descending (highest first)."""
         return sorted(self.bus_freqs_mhz, reverse=True)

@@ -42,11 +42,6 @@ class Channel:
         self._bus_busy = False
         self._waiting: Deque[Tuple[MemRequest, "Bank"]] = deque()
 
-    @property
-    def bus_outstanding(self) -> int:
-        """Requests holding or waiting for the bus (CTO sampling basis)."""
-        return len(self._waiting) + (1 if self._bus_busy else 0)
-
     def request_bus(self, request: MemRequest, bank: "Bank") -> None:
         """A bank finished array access and asks for the data bus."""
         if self._bus_busy:

@@ -217,15 +217,6 @@ class CounterFile:
     def record_llc_miss(self, core: int) -> None:
         self.tlm[core] += 1
 
-    def record_request_arrival(self, bank_ahead: float,
-                               channel_ahead: float) -> None:
-        """Batched form of the two arrival samples every request takes
-        (one bank, one channel) — a single call on the MC's hot path."""
-        self.bto += bank_ahead
-        self.btc += 1.0
-        self.cto += channel_ahead
-        self.ctc += 1.0
-
     def record_bank_arrival(self, outstanding_ahead: float) -> None:
         """A request arrived at a bank queue seeing ``outstanding_ahead`` work."""
         self.bto += outstanding_ahead
@@ -268,21 +259,6 @@ class CounterFile:
 
     def record_refresh(self, rank: int) -> None:
         self.refreshes[rank] += 1.0
-
-    def record_refresh_batch(self, rank: int, count: int) -> None:
-        """Account ``count`` refreshes skipped by the fast-forward path.
-
-        A single add of the (integer-valued) batch size is bit-identical
-        to ``count`` unit adds — integers this small are exact in float64
-        — so the analytic path may lump the REF commands of one idle
-        period. Per-state *residency* is deliberately NOT batched this
-        way: those additions are non-integer and order-sensitive, so the
-        fast-forward path replays them slice by slice through
-        :meth:`account_rank_state`.
-        """
-        if count < 0:
-            raise ValueError(f"negative refresh batch: {count}")
-        self.refreshes[rank] += float(count)
 
     def apply_scaled_delta(self, start: CounterSnapshot,
                            end: CounterSnapshot, ratio: float) -> None:
@@ -370,8 +346,3 @@ class CounterFile:
             channel_reads=end.channel_reads - start.channel_reads,
             channel_writes=end.channel_writes - start.channel_writes,
         )
-
-
-def state_index(state: RankPowerState) -> int:
-    """Column index of ``state`` in ``rank_state_ns`` arrays."""
-    return _STATE_INDEX[state]

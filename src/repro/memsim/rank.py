@@ -141,10 +141,6 @@ class Rank:
         self._state_since = now_ns
         self._state = new_state
 
-    def notify_bank_activity(self) -> None:
-        """A bank opened a row or started service: rank must be in standby."""
-        self._transition(RankPowerState.ACTIVE_STANDBY)
-
     def notify_all_banks_idle(self) -> None:
         """All banks precharged & queues empty — maybe enter powerdown."""
         if self._active_banks > 0:
@@ -401,16 +397,3 @@ class Rank:
         self._state = state
         self._state_since = since
         return 2
-
-    # -- helpers -------------------------------------------------------------
-
-    def _any_bank_busy(self) -> bool:
-        """Some bank of this rank is serving or has work queued.
-
-        Kept as a method for tests/validator readability; backed by the
-        counter the banks maintain rather than a per-call scan.
-        """
-        return self._active_banks > 0
-
-    def _all_rows_closed(self) -> bool:
-        return self._open_rows == 0

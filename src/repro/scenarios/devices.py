@@ -12,9 +12,10 @@ asymmetric write. A :class:`DeviceTable` bundles a named, validated
 
 Every preset passes ``DramTimings.validate`` / ``DramCurrents.validate``
 and is exercised under the armed DDR3 protocol checker by the
-``repro scenarios --smoke`` acceptance leg: the state machine the
-validator checks (activate/precharge ordering, powerdown windows,
-refresh intervals) is technology-agnostic, only the constants move.
+device-table acceptance run (``tests/test_acceptance.py``): the state
+machine the validator checks (activate/precharge ordering, powerdown
+windows, refresh intervals) is technology-agnostic, only the constants
+move.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 Sub-modules: :mod:`~repro.sim.system` (the epoch loop),
 :mod:`~repro.sim.runner` (serial orchestration),
+:mod:`~repro.sim.jobs` (the job model: specs, outcomes, kinds),
 :mod:`~repro.sim.parallel` (process-pool fan-out),
 :mod:`~repro.sim.cache` (content-keyed on-disk artifact cache),
 :mod:`~repro.sim.telemetry` (per-epoch JSONL streams),
@@ -9,15 +10,8 @@ Sub-modules: :mod:`~repro.sim.system` (the epoch loop),
 """
 
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import (
-    CapJob,
-    CapOutcome,
-    SweepJob,
-    SweepOutcome,
-    generate_traces,
-    run_cap_sweep,
-    run_sweep,
-)
+from repro.sim.jobs import JobSpec, SweepOutcome
+from repro.sim.parallel import generate_traces, run_jobs, run_sweep
 from repro.sim.results import (
     ENERGY_COMPONENTS,
     EpochSample,
@@ -35,26 +29,24 @@ from repro.sim.telemetry import (
 )
 
 __all__ = [
-    "CapJob",
-    "CapOutcome",
     "DEFAULT_CACHE_DIR",
     "ENERGY_COMPONENTS",
     "EpochSample",
     "ExperimentCache",
     "ExperimentRunner",
+    "JobSpec",
     "JsonlTelemetry",
     "ListTelemetry",
     "POLICY_NAMES",
     "PolicyComparison",
     "RunResult",
     "RunnerSettings",
-    "SweepJob",
     "SweepOutcome",
     "SystemSimulator",
     "TelemetrySink",
     "compare_to_baseline",
     "generate_traces",
     "load_telemetry",
-    "run_cap_sweep",
+    "run_jobs",
     "run_sweep",
 ]

@@ -140,140 +140,6 @@ def sensitivity_proportionality(idle_fracs: Sequence[float] = (0.0, 0.5, 1.0),
                   "idle_frac")
 
 
-#: Default cap sweep: uncapped reference power down to ~60% of it.
-DEFAULT_BUDGET_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.6)
-
-
-def cap_outcome_row(outcome) -> Dict[str, object]:
-    """Flatten one :class:`~repro.sim.parallel.CapOutcome` to a row dict
-    (the shape :func:`repro.analysis.cap_summary_table` renders)."""
-    cap = outcome.cap or {}
-    return {
-        "workload": outcome.mix,
-        "governor": outcome.governor,
-        "budget_fraction": outcome.budget_fraction,
-        "budget_w": outcome.budget_w,
-        "avg_power_w": outcome.avg_power_w,
-        "violations": cap.get("violation_count"),
-        "time_over_frac": cap.get("time_over_cap_fraction"),
-        "infeasible_epochs": cap.get("infeasible_epochs"),
-        "peak_power_w": cap.get("peak_power_w"),
-        "min_perf": outcome.min_perf,
-        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
-        "memory_savings": outcome.comparison.memory_energy_savings,
-        "system_savings": outcome.comparison.system_energy_savings,
-    }
-
-
-def cap_sweep(mixes: Optional[Sequence[str]] = None,
-              budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
-              config: Optional[SystemConfig] = None,
-              settings: Optional[RunnerSettings] = None,
-              jobs: Optional[int] = None,
-              cache_dir: Optional[str] = None,
-              telemetry_dir: Optional[str] = None,
-              include_throttle: bool = True) -> ExperimentResult:
-    """Power-cap budget sweep (the FastCap-style dual experiment).
-
-    For each mix, sweeps the power budget from the uncapped baseline
-    power down to ~60% of it and reports per-point violation, fairness
-    (min-app normalized performance), and slowdown statistics, plus a
-    naive lowest-frequency throttle reference row per mix. Routed
-    through :func:`repro.sim.parallel.run_cap_sweep`, so runs share the
-    on-disk trace/baseline cache with every other experiment.
-    """
-    from repro.sim.parallel import run_cap_sweep, split_outcomes
-
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    outcomes = run_cap_sweep(
-        mixes, budget_fractions, config=config, settings=settings,
-        jobs=jobs, cache_dir=cache_dir, telemetry_dir=telemetry_dir,
-        include_throttle=include_throttle)
-    good, failed = split_outcomes(outcomes)
-    notes = ("budgets are fractions of each mix's baseline average "
-             "memory power; Throttle rows pin the slowest static "
-             "frequency (the naive capping alternative)")
-    if failed:
-        notes += ("\nFAILED JOBS (excluded from the table):\n  "
-                  + "\n  ".join(f.summary() for f in failed))
-    result = ExperimentResult("cap_sweep", notes=notes)
-    for outcome in good:
-        result.rows.append(cap_outcome_row(outcome))
-    return result
-
-
-#: Default multi-domain sweep: global (CPU + memory) budget from the
-#: uncoordinated reference power down to ~65% of it.
-DEFAULT_MULTIDOMAIN_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.65)
-
-
-def multidomain_outcome_row(outcome) -> Dict[str, object]:
-    """Flatten one :class:`~repro.sim.parallel.MultiDomainOutcome` to a
-    row dict (the shape :func:`repro.analysis.multidomain_summary_table`
-    renders)."""
-    summary = outcome.summary or {}
-    return {
-        "workload": outcome.mix,
-        "governor": outcome.governor,
-        "coordinated": outcome.coordinated,
-        "budget_fraction": outcome.budget_fraction,
-        "budget_w": outcome.budget_w,
-        "avg_power_w": outcome.avg_power_w,
-        "avg_core_power_w": outcome.avg_core_power_w,
-        "avg_core_mhz": summary.get("avg_core_mhz"),
-        "violations": summary.get("violation_count"),
-        "time_over_frac": summary.get("time_over_cap_fraction"),
-        "infeasible_epochs": summary.get("infeasible_epochs"),
-        "core_max_infeasible_epochs":
-            summary.get("core_max_infeasible_epochs"),
-        "mem_max_infeasible_epochs":
-            summary.get("mem_max_infeasible_epochs"),
-        "min_perf": outcome.min_perf,
-        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
-        "system_energy_j": outcome.system_energy_j,
-    }
-
-
-def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
-                      budget_fractions: Sequence[float] =
-                      DEFAULT_MULTIDOMAIN_FRACTIONS,
-                      config: Optional[SystemConfig] = None,
-                      settings: Optional[RunnerSettings] = None,
-                      jobs: Optional[int] = None,
-                      cache_dir: Optional[str] = None,
-                      telemetry_dir: Optional[str] = None,
-                      include_memory_only: bool = True) -> ExperimentResult:
-    """Coordinated CPU+memory budget sweep (the SysScale-style dual).
-
-    For each mix, sweeps a *global* power budget — a fraction of the
-    mix's baseline memory power plus modeled nominal core power — and
-    runs both the coordinated :class:`MultiDomainGovernor` and the
-    memory-only reference (a CapGovernor given the budget left after
-    nominal core power). Reports per-point violation, per-domain
-    infeasibility, fairness, and explicit-split system energy. Routed
-    through :func:`repro.sim.parallel.run_multidomain_sweep`.
-    """
-    from repro.sim.parallel import run_multidomain_sweep, split_outcomes
-
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    outcomes = run_multidomain_sweep(
-        mixes, budget_fractions, config=config, settings=settings,
-        jobs=jobs, cache_dir=cache_dir, telemetry_dir=telemetry_dir,
-        include_memory_only=include_memory_only)
-    outcomes, failed = split_outcomes(outcomes)
-    notes = ("budgets are fractions of each mix's baseline memory power "
-             "plus modeled nominal core power; MemOnly rows give the "
-             "whole remaining budget to a memory-only CapGovernor "
-             "(the uncoordinated split)")
-    if failed:
-        notes += ("\nFAILED JOBS (excluded from the table):\n  "
-                  + "\n  ".join(f.summary() for f in failed))
-    result = ExperimentResult("multidomain_sweep", notes=notes)
-    for outcome in outcomes:
-        result.rows.append(multidomain_outcome_row(outcome))
-    return result
-
-
 def timeline(runner: ExperimentRunner, mix: str) -> ExperimentResult:
     """Figures 7/8: per-epoch frequency / CPI / utilization series."""
     result_run, cmp = runner.run_memscale(mix)

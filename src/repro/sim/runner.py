@@ -56,8 +56,9 @@ POLICY_NAMES = (
 #: Every registered governor:
 #: (name, powerdown mode, one-line description, config knobs, doc link).
 #: The first eight are the sweep-able :data:`POLICY_NAMES`; the rest are
-#: reachable through their own entry points (``repro cap``,
-#: ``repro multidomain``, the extensions API). ``repro governors``
+#: reachable through their experiment kinds (``repro sweep --kind
+#: cap``, ``--kind multidomain``, ``--kind placement``) or the
+#: extensions API. ``repro governors``
 #: prints this table; the knobs column names the constructor/config
 #: parameters that shape each governor's decisions.
 GOVERNOR_INFO = (
@@ -94,18 +95,18 @@ GOVERNOR_INFO = (
      "policy.cpi_bound, per-channel ladder", "docs/governors.md#memscale"),
     ("Cap", "none",
      "Budget-enforcing max-min-fair governor over (MC x per-channel) "
-     "frequencies (run via `repro cap`).",
+     "frequencies (run via `repro sweep --kind cap`).",
      "budget_w | budget_fraction | schedule, tolerance_frac",
      "docs/power-capping.md"),
     ("MultiDomain", "none",
      "Coordinated CPU+memory DVFS splitting one global budget between "
-     "domains (run via `repro multidomain`).",
+     "domains (run via `repro sweep --kind multidomain`).",
      "budget_w | budget_fraction, perf_bound, CoreDvfsConfig",
      "docs/multidomain.md"),
     ("MemScale+Placement", "none",
      "MemScale plus rank-aware page placement: hot-page migration onto "
      "few rank groups and self-refresh parking of cold ranks (run via "
-     "`repro placement`).",
+     "`repro sweep --kind placement`).",
      "config.placement (page_lines, hot_group_fraction, "
      "migrations_per_epoch, sr_idle_epochs)",
      "docs/placement.md"),

@@ -3,7 +3,7 @@
 Every finished job of a :class:`~repro.sim.service.SweepService` —
 successful or failed — becomes one JSON record on disk, addressed by
 the job's content key (a sha256 over mix, point, config hash, and
-settings hash; see :meth:`repro.sim.service.JobSpec.key`). Records are
+settings hash; see :meth:`repro.sim.jobs.JobSpec.key`). Records are
 sharded into 256 two-hex-digit subdirectories so a store accumulated
 over thousands of sweeps never puts them all in one directory:
 
@@ -33,12 +33,14 @@ Record schema (``STORE_FORMAT`` 1)::
      "outcome": {...}        # ok records: serialized outcome
      "error": {"error_type": ..., "message": ..., "traceback": ...}}
 
-``outcome`` is kind-specific: the common core is the serialized
-:class:`~repro.sim.results.RunResult` plus its
-:class:`~repro.sim.results.PolicyComparison`; cap, multi-domain,
-placement, and scenario outcomes add their bookkeeping fields.
-:func:`outcome_to_dict` / :func:`outcome_from_dict` round-trip all five
-outcome dataclasses.
+``outcome`` is the serialized :class:`~repro.sim.jobs.SweepOutcome`:
+the job's kind, mix and point fields, its
+:class:`~repro.sim.results.RunResult` and
+:class:`~repro.sim.results.PolicyComparison`, the kind's extra fields
+(a cap run's ledger, a placement run's migration counters, ...) and
+the volatile execution metadata. One codec serves every kind: the
+:data:`~repro.sim.jobs.KINDS` entry names which spec fields the outcome
+mirrors.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.sim.parallel import (CapOutcome, JobFailure, MultiDomainOutcome,
-                                PlacementOutcome, ScenarioOutcome,
-                                SweepOutcome)
+from repro.sim.jobs import KINDS, JobFailure, JobSpec, SweepOutcome
 from repro.sim.serialize import (comparison_from_dict, comparison_to_dict,
                                  run_result_from_dict, run_result_to_dict)
 
@@ -68,130 +68,46 @@ VOLATILE_OUTCOME_FIELDS = ("wall_s", "cache_hits", "telemetry_path")
 
 # -- outcome (de)serialization ---------------------------------------------
 
-def outcome_to_dict(outcome: object) -> Dict[str, object]:
-    """JSON-ready dictionary of a sweep/cap/multidomain outcome."""
-    if isinstance(outcome, SweepOutcome):
-        return {
-            "kind": "policy",
-            "mix": outcome.mix,
-            "policy": outcome.policy,
-            "result": run_result_to_dict(outcome.result),
-            "comparison": comparison_to_dict(outcome.comparison),
-            "wall_s": outcome.wall_s,
-            "cache_hits": outcome.cache_hits,
-            "telemetry_path": outcome.telemetry_path,
-        }
-    if isinstance(outcome, CapOutcome):
-        return {
-            "kind": "cap",
-            "mix": outcome.mix,
-            "budget_fraction": outcome.budget_fraction,
-            "budget_w": outcome.budget_w,
-            "governor": outcome.governor,
-            "result": run_result_to_dict(outcome.result),
-            "comparison": comparison_to_dict(outcome.comparison),
-            "min_perf": outcome.min_perf,
-            "avg_power_w": outcome.avg_power_w,
-            "cap": outcome.cap,
-            "wall_s": outcome.wall_s,
-            "cache_hits": outcome.cache_hits,
-            "telemetry_path": outcome.telemetry_path,
-        }
-    if isinstance(outcome, MultiDomainOutcome):
-        return {
-            "kind": "multidomain",
-            "mix": outcome.mix,
-            "budget_fraction": outcome.budget_fraction,
-            "budget_w": outcome.budget_w,
-            "governor": outcome.governor,
-            "coordinated": outcome.coordinated,
-            "result": run_result_to_dict(outcome.result),
-            "comparison": comparison_to_dict(outcome.comparison),
-            "min_perf": outcome.min_perf,
-            "avg_power_w": outcome.avg_power_w,
-            "avg_core_power_w": outcome.avg_core_power_w,
-            "core_energy_j": outcome.core_energy_j,
-            "system_energy_j": outcome.system_energy_j,
-            "summary": outcome.summary,
-            "wall_s": outcome.wall_s,
-            "cache_hits": outcome.cache_hits,
-            "telemetry_path": outcome.telemetry_path,
-        }
-    if isinstance(outcome, ScenarioOutcome):
-        return {
-            "kind": "scenario",
-            "mix": outcome.mix,
-            "policy": outcome.policy,
-            "device": outcome.device,
-            "result": run_result_to_dict(outcome.result),
-            "comparison": comparison_to_dict(outcome.comparison),
-            "background_share": outcome.background_share,
-            "wall_s": outcome.wall_s,
-            "cache_hits": outcome.cache_hits,
-            "telemetry_path": outcome.telemetry_path,
-        }
-    if isinstance(outcome, PlacementOutcome):
-        return {
-            "kind": "placement",
-            "mix": outcome.mix,
-            "placed": outcome.placed,
-            "governor": outcome.governor,
-            "result": run_result_to_dict(outcome.result),
-            "comparison": comparison_to_dict(outcome.comparison),
-            "min_perf": outcome.min_perf,
-            "avg_power_w": outcome.avg_power_w,
-            "placement": outcome.placement,
-            "wall_s": outcome.wall_s,
-            "cache_hits": outcome.cache_hits,
-            "telemetry_path": outcome.telemetry_path,
-        }
-    raise TypeError(f"cannot serialize outcome {type(outcome).__name__}")
+#: Serialized-outcome fields every kind shares (besides its point and
+#: extra fields).
+_COMMON_FIELDS = ("kind", "mix", "result", "comparison") \
+    + VOLATILE_OUTCOME_FIELDS
 
 
-def outcome_from_dict(data: Dict[str, object]) -> object:
+def outcome_to_dict(outcome: SweepOutcome) -> Dict[str, object]:
+    """JSON-ready dictionary of a sweep outcome of any kind."""
+    if not isinstance(outcome, SweepOutcome):
+        raise TypeError(f"cannot serialize outcome {type(outcome).__name__}")
+    spec = outcome.spec
+    data: Dict[str, object] = {"kind": spec.kind, "mix": spec.mix}
+    for name, attr in KINDS[spec.kind].outcome_fields.items():
+        data[name] = getattr(spec, attr)
+    data["result"] = run_result_to_dict(outcome.result)
+    data["comparison"] = comparison_to_dict(outcome.comparison)
+    data.update(outcome.extra)
+    data.update(wall_s=outcome.wall_s, cache_hits=outcome.cache_hits,
+                telemetry_path=outcome.telemetry_path)
+    return data
+
+
+def outcome_from_dict(data: Dict[str, object]) -> SweepOutcome:
     """Inverse of :func:`outcome_to_dict`."""
-    kind = data.get("kind")
-    result = run_result_from_dict(data["result"])
-    comparison = comparison_from_dict(data["comparison"])
-    common = dict(wall_s=data["wall_s"], cache_hits=data["cache_hits"],
-                  telemetry_path=data["telemetry_path"])
-    if kind == "policy":
-        return SweepOutcome(mix=data["mix"], policy=data["policy"],
-                            result=result, comparison=comparison, **common)
-    if kind == "cap":
-        return CapOutcome(
-            mix=data["mix"], budget_fraction=data["budget_fraction"],
-            budget_w=data["budget_w"], governor=data["governor"],
-            result=result, comparison=comparison,
-            min_perf=data["min_perf"], avg_power_w=data["avg_power_w"],
-            cap=data["cap"], **common)
-    if kind == "multidomain":
-        return MultiDomainOutcome(
-            mix=data["mix"], budget_fraction=data["budget_fraction"],
-            budget_w=data["budget_w"], governor=data["governor"],
-            coordinated=data["coordinated"], result=result,
-            comparison=comparison, min_perf=data["min_perf"],
-            avg_power_w=data["avg_power_w"],
-            avg_core_power_w=data["avg_core_power_w"],
-            core_energy_j=data["core_energy_j"],
-            system_energy_j=data["system_energy_j"],
-            summary=data["summary"], **common)
-    if kind == "scenario":
-        return ScenarioOutcome(
-            mix=data["mix"], policy=data["policy"], device=data["device"],
-            result=result, comparison=comparison,
-            background_share=data["background_share"], **common)
-    if kind == "placement":
-        return PlacementOutcome(
-            mix=data["mix"], placed=data["placed"],
-            governor=data["governor"], result=result,
-            comparison=comparison, min_perf=data["min_perf"],
-            avg_power_w=data["avg_power_w"],
-            placement=data["placement"], **common)
-    raise ValueError(f"unknown outcome kind {kind!r}")
+    kind = KINDS.get(data.get("kind"))
+    if kind is None:
+        raise ValueError(f"unknown outcome kind {data.get('kind')!r}")
+    spec = JobSpec(kind=kind.name, mix=data["mix"],
+                   **{attr: data[name]
+                      for name, attr in kind.outcome_fields.items()})
+    extra = {k: v for k, v in data.items()
+             if k not in _COMMON_FIELDS and k not in kind.outcome_fields}
+    return SweepOutcome(
+        spec=spec, result=run_result_from_dict(data["result"]),
+        comparison=comparison_from_dict(data["comparison"]),
+        wall_s=data["wall_s"], cache_hits=data["cache_hits"],
+        telemetry_path=data["telemetry_path"], extra=extra)
 
 
-def ok_record(key: str, job: Dict[str, object], outcome: object,
+def ok_record(key: str, job: Dict[str, object], outcome: SweepOutcome,
               config_hash: str, settings_hash: str,
               attempts: int = 1) -> Dict[str, object]:
     """Build one successful-outcome store record."""
@@ -353,5 +269,5 @@ class ResultStore:
     def digests(self) -> Dict[str, str]:
         """Deterministic digest per key (see
         :func:`deterministic_digest`) — the store-identity check the
-        crash-resume tests and the service smoke compare."""
+        crash-resume tests compare."""
         return {r["key"]: deterministic_digest(r) for r in self.records()}

@@ -1,16 +1,15 @@
-"""Tests for the cap-sweep experiment plumbing: run_cap_sweep's
-structure, determinism with the on-disk cache, row flattening, table
-rendering, and the v2 telemetry it streams."""
+"""Tests for the cap-sweep experiment plumbing: the structure of a
+cap-kind run_jobs sweep, determinism with the on-disk cache, row
+flattening, table rendering, and the v2 telemetry it streams."""
 
 import pytest
 
 from repro.analysis import cap_summary_table
 from repro.config import NS_PER_US, scaled_config
-from repro.sim import load_telemetry, run_cap_sweep
-from repro.sim.telemetry import TELEMETRY_SCHEMA_VERSION
-from repro.sim.experiments import cap_outcome_row, cap_sweep
-from repro.sim.parallel import cap_label
+from repro.sim import load_telemetry, run_jobs
+from repro.sim.jobs import cap_label, cap_outcome_row, cap_specs
 from repro.sim.runner import RunnerSettings
+from repro.sim.telemetry import TELEMETRY_SCHEMA_VERSION
 
 CFG = scaled_config(epoch_ns=20 * NS_PER_US, profile_ns=2 * NS_PER_US)
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=8_000, seed=2011)
@@ -20,8 +19,8 @@ FRACTIONS = (0.9, 0.75)
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cap_cache")
-    return run_cap_sweep(["MID1"], FRACTIONS, config=CFG, settings=SETTINGS,
-                         jobs=1, cache_dir=str(cache))
+    return run_jobs(cap_specs(["MID1"], FRACTIONS), config=CFG,
+                    settings=SETTINGS, jobs=1, cache_dir=str(cache))
 
 
 class TestRunCapSweep:
@@ -54,35 +53,32 @@ class TestRunCapSweep:
             assert o.min_perf >= throttle.min_perf - 1e-9
 
     def test_deterministic_under_cache(self, outcomes, tmp_path):
-        again = run_cap_sweep(["MID1"], FRACTIONS, config=CFG,
-                              settings=SETTINGS, jobs=1,
-                              cache_dir=str(tmp_path / "fresh"))
+        again = run_jobs(cap_specs(["MID1"], FRACTIONS), config=CFG,
+                         settings=SETTINGS, jobs=1,
+                         cache_dir=str(tmp_path / "fresh"))
         for a, b in zip(outcomes, again):
             assert a.avg_power_w == b.avg_power_w
             assert a.min_perf == b.min_perf
             assert a.cap == b.cap
 
     def test_throttle_can_be_excluded(self, tmp_path):
-        out = run_cap_sweep(["MID1"], (0.9,), config=CFG, settings=SETTINGS,
-                            jobs=1, cache_dir=str(tmp_path / "c"),
-                            include_throttle=False)
+        out = run_jobs(cap_specs(["MID1"], (0.9,), include_throttle=False),
+                       config=CFG, settings=SETTINGS, jobs=1,
+                       cache_dir=str(tmp_path / "c"))
         assert [o.budget_fraction for o in out] == [0.9]
 
-    def test_rejects_empty_inputs(self, tmp_path):
+    def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
-            run_cap_sweep([], (0.9,), config=CFG, settings=SETTINGS, jobs=1,
-                          cache_dir=str(tmp_path / "c"))
+            cap_specs([], (0.9,))
         with pytest.raises(ValueError):
-            run_cap_sweep(["MID1"], (), config=CFG, settings=SETTINGS,
-                          jobs=1, cache_dir=str(tmp_path / "c"),
-                          include_throttle=False)
+            cap_specs(["MID1"], (), include_throttle=False)
 
     def test_telemetry_streams_v2_records(self, tmp_path):
         tdir = tmp_path / "telemetry"
-        out = run_cap_sweep(["MID1"], (0.9,), config=CFG, settings=SETTINGS,
-                            jobs=1, cache_dir=str(tmp_path / "c"),
-                            telemetry_dir=str(tdir),
-                            include_throttle=False)
+        out = run_jobs(cap_specs(["MID1"], (0.9,), include_throttle=False),
+                       config=CFG, settings=SETTINGS, jobs=1,
+                       cache_dir=str(tmp_path / "c"),
+                       telemetry_dir=str(tdir))
         records = load_telemetry(out[0].telemetry_path)
         assert records
         assert all(r["schema"] == TELEMETRY_SCHEMA_VERSION
@@ -109,11 +105,3 @@ class TestRowsAndTable:
         # All the budget/ledger columns are None for the throttle
         # reference and must render as bare dashes.
         assert throttle_line.split().count("-") >= 4
-
-    def test_experiment_api_wraps_sweep(self, tmp_path):
-        result = cap_sweep(mixes=["MID1"], budget_fractions=(0.9,),
-                           config=CFG, settings=SETTINGS, jobs=1,
-                           cache_dir=str(tmp_path / "c"))
-        assert result.name == "cap_sweep"
-        assert len(result.rows) == 2  # one capped point + throttle
-        assert result.column("workload") == ["MID1", "MID1"]

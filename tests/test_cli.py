@@ -21,8 +21,8 @@ class TestParser:
     def test_known_commands(self):
         parser = build_parser()
         for cmd in ("table1", "run", "figure", "timeline", "stats",
-                    "best-static", "sweep", "bench", "cap", "multidomain",
-                    "governors", "cache", "service", "query"):
+                    "best-static", "sweep", "bench", "governors", "cache",
+                    "service", "query"):
             args = parser.parse_args(
                 [cmd] + (["MID1"] if cmd in ("run", "timeline", "stats",
                                              "best-static") else
@@ -146,29 +146,47 @@ class TestBenchCommand:
 
 
 class TestCapCommand:
+    """`repro sweep --kind cap`: the power-cap budget sweep."""
+
+    SMALL = ["--instructions", "8000", "--cores", "4"]
+
     def test_cap_smoke_passes(self, capsys, tmp_path):
-        """The acceptance smoke: a 2-point budget sweep whose enforcement
-        and fairness checks must hold (wired into tier-1 here)."""
-        code, out = run_cli(capsys, "cap", "--smoke", "--jobs", "1",
-                            "--cache-dir", str(tmp_path / "c"))
+        """A 2-point budget sweep whose enforcement and fairness checks
+        (the cap kind's acceptance check) must hold."""
+        code, out = run_cli(capsys, "sweep", "--kind", "cap",
+                            "--mixes", "MID1", "--budgets", "0.9", "0.75",
+                            "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
+                            *self.SMALL)
         assert code == 0
-        assert "CAP SMOKE OK" in out
+        assert "cap acceptance checks passed" in out
         assert "power-cap sweep" in out
 
     def test_cap_custom_budgets(self, capsys, tmp_path):
         code, out = run_cli(
-            capsys, "cap", "--mixes", "MID1", "--budgets", "0.9",
-            "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
-            "--instructions", "8000", "--cores", "4")
+            capsys, "sweep", "--kind", "cap", "--mixes", "MID1",
+            "--budgets", "0.9", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "c"), *self.SMALL)
         assert code == 0
         assert "90%" in out        # the budget column
         assert "min perf" in out   # the fairness column
 
     def test_cap_rejects_unknown_mix(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["cap", "--mixes", "NOPE", "--jobs", "1",
-                  "--cache-dir", str(tmp_path / "c"),
-                  "--instructions", "8000", "--cores", "4"])
+            main(["sweep", "--kind", "cap", "--mixes", "NOPE",
+                  "--budgets", "0.9", "--jobs", "1",
+                  "--cache-dir", str(tmp_path / "c"), *self.SMALL])
+
+    def test_cap_needs_budgets(self, tmp_path):
+        with pytest.raises(SystemExit, match="--budgets"):
+            main(["sweep", "--kind", "cap", "--mixes", "MID1",
+                  "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
+                  *self.SMALL])
+
+    def test_axis_the_kind_does_not_read_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="--devices"):
+            main(["sweep", "--mixes", "MID1", "--devices", "stt-mram",
+                  "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
+                  *self.SMALL])
 
 
 class TestGovernorsCommand:
@@ -206,32 +224,37 @@ class TestGovernorsCommand:
 
 
 class TestMultiDomainCommand:
+    """`repro sweep --kind multidomain`: one global CPU+memory budget."""
+
+    SMALL = ["--instructions", "8000", "--cores", "4"]
+
     def test_multidomain_smoke_passes(self, capsys, tmp_path):
-        """The acceptance smoke: under a budget infeasible for either
-        domain alone, the coordinated governor finds a feasible split,
-        never exceeds the budget, and beats memory-only capping on
-        system energy (wired into tier-1 here)."""
-        code, out = run_cli(capsys, "multidomain", "--smoke", "--jobs", "1",
-                            "--cache-dir", str(tmp_path / "c"))
+        """The coordinated governor never exceeds the global budget and
+        beats memory-only capping on system energy (the multidomain
+        kind's acceptance check)."""
+        code, out = run_cli(capsys, "sweep", "--kind", "multidomain",
+                            "--mixes", "MID1", "--budgets", "0.8", "0.55",
+                            "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
+                            *self.SMALL)
         assert code == 0
-        assert "MULTIDOMAIN SMOKE OK" in out
+        assert "multidomain acceptance checks passed" in out
         assert "multi-domain budget sweep" in out
         assert "MultiDomain-" in out and "Cap-" in out
 
     def test_multidomain_custom_budgets(self, capsys, tmp_path):
         code, out = run_cli(
-            capsys, "multidomain", "--mixes", "MID1", "--budgets", "0.8",
-            "--jobs", "1", "--cache-dir", str(tmp_path / "c"),
-            "--instructions", "8000", "--cores", "4")
+            capsys, "sweep", "--kind", "multidomain", "--mixes", "MID1",
+            "--budgets", "0.8", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "c"), *self.SMALL)
         assert code == 0
         assert "80%" in out        # the budget column
         assert "core W" in out     # the per-domain split column
 
     def test_multidomain_rejects_unknown_mix(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["multidomain", "--mixes", "NOPE", "--jobs", "1",
-                  "--cache-dir", str(tmp_path / "c"),
-                  "--instructions", "8000", "--cores", "4"])
+            main(["sweep", "--kind", "multidomain", "--mixes", "NOPE",
+                  "--budgets", "0.8", "--jobs", "1",
+                  "--cache-dir", str(tmp_path / "c"), *self.SMALL])
 
 
 class TestValidateFlag:
@@ -273,7 +296,7 @@ class TestFastForwardFlag:
         parser = build_parser()
         for argv in (["run", "MID1", "--no-fast-forward"],
                      ["sweep", "--no-fast-forward"],
-                     ["cap", "--smoke", "--no-fast-forward"],
+                     ["sweep", "--kind", "cap", "--no-fast-forward"],
                      ["bench", "--smoke", "--no-fast-forward"],
                      ["perfbench", "--no-fast-forward"]):
             args = parser.parse_args(argv)
@@ -326,15 +349,6 @@ class TestCacheCommand:
 
 class TestServiceCommand:
     SMALL = ["--instructions", "8000", "--cores", "4", "--seed", "7"]
-
-    def test_smoke_leg(self, capsys, tmp_path):
-        """The `make service-smoke` target: poisoned job isolated,
-        resume heals it, store digest-identical to a serial sweep."""
-        code, out = run_cli(capsys, "service", "smoke",
-                            "--dir", str(tmp_path / "svc"), "--jobs", "1")
-        assert code == 0
-        assert "SERVICE SMOKE OK" in out
-        assert "poisoned job isolated (MID1/MemScale)" in out
 
     def test_run_status_query_resume_round_trip(self, capsys, tmp_path):
         directory = str(tmp_path / "svc")

@@ -23,7 +23,8 @@ from repro.scenarios.ingest import (ImportSummary, TraceFormatError,
                                     import_trace, iter_csv, iter_k6,
                                     read_records, reinterleave)
 from repro.sim.cache import ExperimentCache, check_trace_name
-from repro.sim.parallel import run_scenario_sweep, run_sweep, scenario_label
+from repro.sim.jobs import scenario_specs
+from repro.sim.parallel import run_jobs, run_sweep
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, ExperimentRunner,
                               RunnerSettings)
 
@@ -370,13 +371,13 @@ class TestRunnerTraceResolution:
 
 class TestScenarioSweep:
     def test_device_axis_orders_and_accounts(self, tmp_path):
-        outcomes = run_scenario_sweep(
-            ["mix2"], ("MemScale",), ("ddr3-1333", "stt-mram"),
+        outcomes = run_jobs(
+            scenario_specs(["mix2"], ("MemScale",), ("ddr3-1333", "stt-mram")),
             settings=SETTINGS, jobs=1, cache_dir=tmp_path)
         assert [(o.policy, o.device) for o in outcomes] \
             == [("MemScale", "ddr3-1333"), ("MemScale", "stt-mram")]
         ddr3, stt = outcomes
-        assert scenario_label(stt.policy, stt.device) == "MemScale@stt-mram"
+        assert stt.label == "mix2/MemScale@stt-mram"
         for o in outcomes:
             assert 0.0 <= o.background_share <= 1.0
             assert o.wall_s >= 0.0
@@ -439,16 +440,18 @@ class TestScenarioCli:
         assert "MemScale@stt-mram" in out
 
     def test_sweep_scenarios_and_devices(self, capsys, tmp_path):
-        assert main(["sweep", "--scenarios", "mix5", "--policies",
-                     "MemScale", "--devices", "ddr3-1333", "ddr3l",
+        assert main(["sweep", "--kind", "scenario", "--scenarios", "mix5",
+                     "--policies", "MemScale", "--devices", "ddr3-1333",
+                     "ddr3l",
                      "--cores", "4", "--instructions", "4000",
                      "--jobs", "1", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "scenario sweep: 1 mixes x 1 policies x 2 devices" in out
+        assert "scenario sweep: 1 mixes x 2 (policy, device) points" in out
         assert "standby" in out and "ddr3l" in out
 
     def test_device_sweep_save_is_deterministic(self, capsys, tmp_path):
-        args = ["sweep", "--scenarios", "mix5", "--policies", "MemScale",
+        args = ["sweep", "--kind", "scenario", "--scenarios", "mix5",
+                "--policies", "MemScale",
                 "--devices", "ddr3-1333", "stt-mram",
                 "--cores", "4", "--instructions", "4000",
                 "--cache-dir", str(tmp_path / "cache")]

@@ -16,15 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.config import scaled_config
-from repro.sim.parallel import (JobFailure, run_placement_sweep, run_sweep,
-                                split_outcomes)
+from repro.sim.jobs import (JobFailure, JobSpec, cap_specs,
+                            multidomain_specs, placement_specs, policy_specs,
+                            scenario_specs, split_outcomes)
+from repro.sim.parallel import run_jobs, run_sweep
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
-from repro.sim.service import (LEDGER_NAME, LOCK_NAME, JobSpec,
-                               ServiceError, ServiceLock, SweepService,
-                               cap_specs, multidomain_specs,
-                               placement_specs, policy_specs, read_ledger,
-                               scenario_specs)
+from repro.sim.service import (LEDGER_NAME, LOCK_NAME, ServiceError,
+                               ServiceLock, SweepService, read_ledger)
 from repro.sim.store import deterministic_digest
 
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=4_000, seed=7)
@@ -452,8 +451,8 @@ class TestPlacementDifferential:
 
         settings = RunnerSettings(cores=4, instructions_per_core=60_000,
                                   seed=7)
-        reference = run_placement_sweep(mixes, settings=settings, jobs=1,
-                                        cache_dir=None)
+        reference = run_jobs(placement_specs(mixes), settings=settings,
+                             jobs=1, cache_dir=None)
         for mine, ref in zip(good, reference):
             assert (mine.mix, mine.placed) == (ref.mix, ref.placed)
             assert result_bytes(mine.result) == result_bytes(ref.result)

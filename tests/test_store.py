@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from repro.sim.parallel import (CapOutcome, JobFailure, MultiDomainOutcome,
-                                SweepJob, run_sweep)
+from repro.sim.jobs import JobFailure, JobSpec, SweepOutcome
+from repro.sim.parallel import run_sweep
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
 from repro.sim.store import (STORE_FORMAT, ResultStore, deterministic_digest,
@@ -26,22 +26,24 @@ def sweep_outcome():
 
 
 def _cap_outcome(base):
-    return CapOutcome(
-        mix=base.mix, budget_fraction=0.8, budget_w=10.5,
-        governor="Cap-gov", result=base.result, comparison=base.comparison,
-        min_perf=0.93, avg_power_w=9.8,
-        cap={"violation_count": 0, "epochs_accounted": 4},
-        wall_s=base.wall_s, cache_hits=1, telemetry_path=None)
+    return SweepOutcome(
+        spec=JobSpec("cap", base.mix, budget_fraction=0.8),
+        result=base.result, comparison=base.comparison,
+        wall_s=base.wall_s, cache_hits=1, telemetry_path=None,
+        extra={"budget_w": 10.5, "governor": "Cap-gov", "min_perf": 0.93,
+               "avg_power_w": 9.8,
+               "cap": {"violation_count": 0, "epochs_accounted": 4}})
 
 
 def _md_outcome(base):
-    return MultiDomainOutcome(
-        mix=base.mix, budget_fraction=0.7, budget_w=40.0,
-        governor="MultiDomain-gov", coordinated=True,
-        result=base.result, comparison=base.comparison,
-        min_perf=0.91, avg_power_w=30.0, avg_core_power_w=20.0,
-        core_energy_j=1.5, system_energy_j=4.0,
-        summary={"epochs_decided": 4}, wall_s=base.wall_s)
+    return SweepOutcome(
+        spec=JobSpec("multidomain", base.mix, budget_fraction=0.7,
+                     coordinated=True),
+        result=base.result, comparison=base.comparison, wall_s=base.wall_s,
+        extra={"budget_w": 40.0, "governor": "MultiDomain-gov",
+               "min_perf": 0.91, "avg_power_w": 30.0,
+               "avg_core_power_w": 20.0, "core_energy_j": 1.5,
+               "system_energy_j": 4.0, "summary": {"epochs_decided": 4}})
 
 
 def _job(label="MID1/Static"):
@@ -51,7 +53,8 @@ def _job(label="MID1/Static"):
 
 
 def _failure():
-    return JobFailure(job=SweepJob("MID1", "Static"), label="MID1/Static",
+    return JobFailure(job=JobSpec("policy", "MID1", policy="Static"),
+                      label="MID1/Static",
                       error_type="ValueError", message="boom",
                       traceback="Traceback ...", attempts=2, wall_s=0.1)
 
@@ -70,7 +73,7 @@ class TestOutcomeRoundTrip:
     def test_cap_outcome(self, sweep_outcome):
         outcome = _cap_outcome(sweep_outcome)
         back = outcome_from_dict(outcome_to_dict(outcome))
-        assert isinstance(back, CapOutcome)
+        assert back.spec == outcome.spec
         assert back.budget_fraction == 0.8
         assert back.cap == outcome.cap
         assert back.min_perf == outcome.min_perf
@@ -78,7 +81,7 @@ class TestOutcomeRoundTrip:
     def test_multidomain_outcome(self, sweep_outcome):
         outcome = _md_outcome(sweep_outcome)
         back = outcome_from_dict(outcome_to_dict(outcome))
-        assert isinstance(back, MultiDomainOutcome)
+        assert back.spec == outcome.spec
         assert back.coordinated is True
         assert back.system_energy_j == outcome.system_energy_j
         assert back.summary == outcome.summary
