@@ -15,7 +15,6 @@ Every experiment is reachable from the shell::
     python -m repro trace import k6.trc --name myapp --cores 4
     python -m repro run trace:myapp --cores 4
     python -m repro bench --smoke
-    python -m repro perfbench
     python -m repro cache --prune
     python -m repro service run --dir sweeps --mixes MID1 --policies MemScale
     python -m repro service resume --dir sweeps
@@ -99,8 +98,6 @@ def _config_from_args(args) -> SystemConfig:
         config = config.replace(fast_forward=False)
     if getattr(args, "no_busy_absorption", False):
         config = config.replace(busy_absorption=False)
-    if getattr(args, "approx_steady_state", False):
-        config = config.replace(approx_steady_state=True)
     if getattr(args, "device", None):
         try:
             config = apply_device(config, args.device)
@@ -139,11 +136,6 @@ def _add_ff_arg(parser: argparse.ArgumentParser) -> None:
                         help="disable busy-period chain absorption "
                              "(results are byte-identical either way; "
                              "debugging escape hatch)")
-    parser.add_argument("--approx-steady-state", action="store_true",
-                        help="enable the approximate steady-state "
-                             "surrogate: stationary epoch bodies are "
-                             "extrapolated instead of simulated "
-                             "(bounded-error results, not bit-exact)")
 
 
 def _add_cache_args(parser: argparse.ArgumentParser,
@@ -393,28 +385,6 @@ def cmd_bench(args) -> None:
           f"+ throttle reference on MID1)")
     print(f"\nSMOKE OK: {len(outcomes)} runs, {args.jobs} workers, "
           f"{wall:.2f}s wall")
-
-
-def cmd_perfbench(args) -> None:
-    from repro.sim.perfbench import PerfRegressionError, run_perfbench
-    try:
-        run_perfbench(output=args.output, repeats=args.repeats,
-                      scenarios=args.scenarios,
-                      update_baseline=args.update_baseline,
-                      max_regression=args.max_regression,
-                      fast_forward=not args.no_fast_forward,
-                      approx=not args.no_approx,
-                      gate=not args.no_gate,
-                      profile=args.profile or args.profile_out is not None,
-                      profile_out=args.profile_out)
-    except PerfRegressionError as exc:
-        raise SystemExit(f"PERF REGRESSION: {exc}")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if args.no_gate:
-        print("perfbench: regression gate disabled (report only)")
-    else:
-        print("perfbench: throughput within the regression gate")
 
 
 def cmd_cache(args) -> None:
@@ -758,36 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p)
     _add_ff_arg(p)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("perfbench",
-                       help="simulator-throughput benchmark with a "
-                            "regression gate (writes BENCH_perf.json)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="median-of-N repeats per scenario (default 3)")
-    p.add_argument("--output", default="BENCH_perf.json", metavar="FILE",
-                   help="benchmark/baseline JSON file (default "
-                        "BENCH_perf.json)")
-    p.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
-                   help="subset of scenarios to run (default: all)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="re-seed the committed baseline from this run")
-    p.add_argument("--max-regression", type=float, default=0.10,
-                   help="max fractional throughput drop vs baseline "
-                        "before failing (default 0.10)")
-    p.add_argument("--no-gate", action="store_true",
-                   help="report baseline vs current but never fail "
-                        "(the CI smoke leg on shared runners)")
-    p.add_argument("--no-approx", action="store_true",
-                   help="measure with the steady-state surrogate "
-                        "disabled (exact event-by-event epoch bodies)")
-    p.add_argument("--profile", action="store_true",
-                   help="wrap the timed runs in cProfile and print the "
-                        "top-20 cumulative hot spots")
-    p.add_argument("--profile-out", default=None, metavar="FILE",
-                   help="with --profile: also dump the raw pstats "
-                        "profile to FILE (CI artifact)")
-    _add_ff_arg(p)
-    p.set_defaults(func=cmd_perfbench)
 
     p = sub.add_parser("scenarios",
                        help="list the MPKI-laddered scenario library "

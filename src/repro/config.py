@@ -356,13 +356,6 @@ class SystemConfig:
     #: request-path successor through the heap. Byte-identical on or
     #: off — same contract and cache treatment as ``fast_forward``.
     busy_absorption: bool = True
-    #: Approximate steady-state absorption (memsim/steady.py): when the
-    #: epoch profile is stationary, simulate only a slice of the epoch
-    #: body event-exactly and extrapolate the rest with batched numpy
-    #: counter kernels. Results are *approximate* (bounded-error
-    #: contract, see docs/performance.md), so this flag IS part of the
-    #: experiment cache fingerprint. Default off.
-    approx_steady_state: bool = False
 
     def sorted_bus_freqs(self) -> List[float]:
         """Candidate bus frequencies, descending (highest first)."""
@@ -444,8 +437,16 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
 
     Unknown top-level keys are rejected (a payload from a newer code
     version should fail loudly, not silently drop a knob); the result
-    is validated before being returned.
+    is validated before being returned. ``approx_steady_state`` names
+    a removed approximate mode: payloads written before its removal
+    carry it as ``false``, which is ignored; ``true`` asked for a mode
+    this version cannot run and is rejected.
     """
+    payload = dict(payload)
+    if payload.pop("approx_steady_state", False):
+        raise ConfigError(
+            "approx_steady_state=true: the approximate steady-state "
+            "mode was removed; only exact simulation is supported")
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = set(payload) - known
     if unknown:
@@ -463,8 +464,7 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
             kwargs[name] = cls(**payload[name])
     if "bus_freqs_mhz" in payload:
         kwargs["bus_freqs_mhz"] = tuple(payload["bus_freqs_mhz"])
-    for flag in ("validate_protocol", "fast_forward", "busy_absorption",
-                 "approx_steady_state"):
+    for flag in ("validate_protocol", "fast_forward", "busy_absorption"):
         if flag in payload:
             kwargs[flag] = bool(payload[flag])
     config = SystemConfig(**kwargs)

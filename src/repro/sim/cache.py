@@ -65,13 +65,14 @@ def config_fingerprint(config: SystemConfig) -> Dict[str, object]:
     excluded for the same reason — the analytic idle-period batch and
     the inline continuation-chain path both reproduce event-driven
     results bit for bit, so all settings may share entries.
-    ``approx_steady_state`` is deliberately *kept*: it trades accuracy
-    for speed, so its runs must never alias exact-mode entries.
     """
     payload = dataclasses.asdict(config)
     payload.pop("validate_protocol", None)
     payload.pop("fast_forward", None)
     payload.pop("busy_absorption", None)
+    # Constant, so job and cache keys written before the approximate
+    # mode's removal still match.
+    payload["approx_steady_state"] = False
     return payload
 
 

@@ -297,8 +297,7 @@ class TestFastForwardFlag:
         for argv in (["run", "MID1", "--no-fast-forward"],
                      ["sweep", "--no-fast-forward"],
                      ["sweep", "--kind", "cap", "--no-fast-forward"],
-                     ["bench", "--smoke", "--no-fast-forward"],
-                     ["perfbench", "--no-fast-forward"]):
+                     ["bench", "--smoke", "--no-fast-forward"]):
             args = parser.parse_args(argv)
             assert args.no_fast_forward is True
 

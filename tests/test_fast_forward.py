@@ -87,7 +87,7 @@ class TestFastForwardEngagement:
 
     def test_event_conservation_across_modes(self):
         # processed + fast-forwarded is the mode-independent simulated
-        # event count (the perfbench metric).
+        # event count.
         on = self.make_sim(fast_forward=True)
         on.run()
         off = self.make_sim(fast_forward=False)
@@ -150,7 +150,7 @@ class TestBusyAbsorptionEngagement:
 
     def test_event_conservation_across_modes(self):
         # processed + fast-forwarded + busy-absorbed is the
-        # mode-independent simulated event count (the perfbench metric).
+        # mode-independent simulated event count.
         on = self.make_sim(busy_absorption=True)
         on.run()
         off = self.make_sim(busy_absorption=False)
@@ -173,10 +173,7 @@ class TestCacheKeyInsensitivity:
         assert (config_fingerprint(CONFIG.replace(busy_absorption=True))
                 == config_fingerprint(CONFIG.replace(busy_absorption=False)))
 
-    def test_fingerprint_keeps_approx_steady_state(self):
-        # The steady-state surrogate is NOT bit-exact, so its flag must
-        # split the cache key.
-        assert (config_fingerprint(
-                    CONFIG.replace(approx_steady_state=True))
-                != config_fingerprint(
-                    CONFIG.replace(approx_steady_state=False)))
+    def test_fingerprint_pins_removed_approx_steady_state(self):
+        # Job and cache keys written before the approximate mode was
+        # removed hashed its flag as false; the constant keeps them.
+        assert config_fingerprint(CONFIG)["approx_steady_state"] is False

@@ -277,6 +277,33 @@ class TestOpenRoundTrip:
         assert SweepService.open(tmp_path / "s", jobs=1, retries=0).retries \
             == 0
 
+    @staticmethod
+    def write_meta_config(root, **fields):
+        """Rewrite the meta record's config with extra ``fields``, the
+        way a ledger written by an older version stores them."""
+        path = root / LEDGER_NAME
+        records, _ = read_ledger(path)
+        records[0]["config"].update(fields)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_removed_approx_flag_false_keeps_config_hash(self, tmp_path):
+        specs = policy_specs(["MID1"], ["Static"])
+        svc = make_service(tmp_path / "s")
+        svc.run(specs)
+        self.write_meta_config(tmp_path / "s", approx_steady_state=False)
+        reopened = SweepService.open(tmp_path / "s")
+        assert reopened.config_hash == svc.config_hash
+        # same job keys: nothing re-enqueued, nothing left to run
+        assert reopened.submit(specs) == []
+        assert reopened.pending() == []
+
+    def test_removed_approx_flag_true_is_rejected(self, tmp_path):
+        svc = make_service(tmp_path / "s")
+        svc.submit(policy_specs(["MID1"], ["Static"]))
+        self.write_meta_config(tmp_path / "s", approx_steady_state=True)
+        with pytest.raises(ServiceError, match="approx_steady_state"):
+            SweepService.open(tmp_path / "s")
+
     def test_results_and_ledger_survive_reopen(self, tmp_path):
         svc = make_service(tmp_path / "s")
         svc.run(policy_specs(["MID1"], ["Static"]))
