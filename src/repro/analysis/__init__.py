@@ -2,24 +2,18 @@
 
 from repro.analysis.tables import (
     bar,
-    cap_summary_table,
-    device_energy_table,
     format_bar_chart,
     format_series,
     format_table,
-    multidomain_summary_table,
     percent,
-    savings_table,
+    summary_table,
 )
 
 __all__ = [
     "bar",
-    "cap_summary_table",
-    "device_energy_table",
     "format_bar_chart",
     "format_series",
     "format_table",
-    "multidomain_summary_table",
     "percent",
-    "savings_table",
+    "summary_table",
 ]

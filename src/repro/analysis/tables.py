@@ -6,7 +6,7 @@ the harness output can be compared line-by-line with the paper's plots.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -82,137 +82,23 @@ def format_series(xs: Sequence[float], ys: Sequence[float],
     return "\n".join(lines)
 
 
-def savings_table(rows: Dict[str, Dict[str, float]],
+def summary_table(columns: Sequence[Tuple[str, str, str]],
+                  rows: Sequence[Dict[str, object]],
                   title: Optional[str] = None) -> str:
-    """Table of per-workload savings/degradation percentages.
+    """Render one row per dict in ``rows`` through a column spec.
 
-    ``rows`` maps a row label to column-name -> ratio.
+    Each column is ``(header, key, template)``: the cell is
+    ``template.format(row[key])``, and a key that is missing or None
+    renders as ``-`` (reference legs leave budget/ledger fields unset).
+    The experiment kinds in :mod:`repro.sim.jobs` each pass their own
+    columns.
     """
     if not rows:
         raise ValueError("no rows to format")
-    columns = list(next(iter(rows.values())))
     table_rows = [
-        [label] + [percent(values[c]) for c in columns]
-        for label, values in rows.items()
+        ["-" if row.get(key) is None else template.format(row[key])
+         for _, key, template in columns]
+        for row in rows
     ]
-    return format_table(["workload"] + columns, table_rows, title=title)
-
-
-def cap_summary_table(rows: Sequence[Dict[str, object]],
-                      title: Optional[str] = "power-cap sweep") -> str:
-    """Summary table of a cap sweep (one row per (mix, budget) point).
-
-    ``rows`` are :func:`repro.sim.jobs.cap_outcome_row` dicts: ``workload``,
-    ``governor``, ``budget_fraction`` (None for the throttle reference),
-    ``budget_w``, ``avg_power_w``, ``violations``, ``time_over_frac``,
-    ``infeasible_epochs``, ``min_perf``, ``worst_cpi_increase``, and
-    ``system_savings``. Missing budget columns render as ``-``.
-    """
-    if not rows:
-        raise ValueError("no cap results to format")
-
-    def num(row, key, fmt):
-        value = row.get(key)
-        return "-" if value is None else fmt.format(value)
-
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row["workload"],
-            row["governor"],
-            num(row, "budget_fraction", "{:.0%}"),
-            num(row, "budget_w", "{:.2f}"),
-            num(row, "avg_power_w", "{:.2f}"),
-            num(row, "violations", "{:d}"),
-            num(row, "time_over_frac", "{:.1%}"),
-            num(row, "infeasible_epochs", "{:d}"),
-            num(row, "min_perf", "{:.3f}"),
-            percent(float(row["worst_cpi_increase"])),
-            percent(float(row["system_savings"])),
-        ])
-    return format_table(
-        ["workload", "governor", "budget", "cap W", "avg W", "viol",
-         "t>cap", "infeas", "min perf", "worst CPI", "sys savings"],
-        table_rows, title=title)
-
-
-def multidomain_summary_table(rows: Sequence[Dict[str, object]],
-                              title: Optional[str] =
-                              "multi-domain budget sweep") -> str:
-    """Summary table of a multi-domain sweep (one row per (mix, budget,
-    leg) point).
-
-    ``rows`` are :func:`repro.sim.jobs.multidomain_outcome_row` dicts:
-    ``workload``, ``governor``, ``budget_fraction``, ``budget_w``,
-    ``avg_power_w``, ``avg_core_power_w``, ``avg_core_mhz``,
-    ``violations``, ``infeasible_epochs``, ``min_perf``, and
-    ``system_energy_j``. Fields absent on the memory-only reference
-    legs render as ``-``.
-    """
-    if not rows:
-        raise ValueError("no multi-domain results to format")
-
-    def num(row, key, fmt):
-        value = row.get(key)
-        return "-" if value is None else fmt.format(value)
-
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row["workload"],
-            row["governor"],
-            num(row, "budget_fraction", "{:.0%}"),
-            num(row, "budget_w", "{:.2f}"),
-            num(row, "avg_power_w", "{:.2f}"),
-            num(row, "avg_core_power_w", "{:.2f}"),
-            num(row, "avg_core_mhz", "{:.0f}"),
-            num(row, "violations", "{:d}"),
-            num(row, "infeasible_epochs", "{:d}"),
-            num(row, "min_perf", "{:.3f}"),
-            num(row, "system_energy_j", "{:.4f}"),
-        ])
-    return format_table(
-        ["workload", "governor", "budget", "cap W", "avg W", "core W",
-         "core MHz", "viol", "infeas", "min perf", "sys J"],
-        table_rows, title=title)
-
-
-def device_energy_table(rows: Sequence[Dict[str, object]],
-                        title: Optional[str] =
-                        "device technology sweep") -> str:
-    """Summary table of a scenario sweep (one row per (mix, policy,
-    device) point).
-
-    ``rows`` are the scenario sweep's row dicts: ``workload``,
-    ``policy``, ``device``, ``memory_energy_j``, ``background_share``
-    (standby energy as a fraction of DIMM energy — the column that
-    makes the STT-MRAM-style standby shift visible), ``mem_savings``
-    (vs the per-device baseline), and ``worst_cpi_increase``. Missing
-    comparison columns render as ``-``.
-    """
-    if not rows:
-        raise ValueError("no scenario results to format")
-
-    def num(row, key, fmt):
-        value = row.get(key)
-        return "-" if value is None else fmt.format(value)
-
-    def pct(row, key):
-        value = row.get(key)
-        return "-" if value is None else percent(float(value))
-
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row["workload"],
-            row["policy"],
-            row["device"],
-            num(row, "memory_energy_j", "{:.4f}"),
-            num(row, "background_share", "{:.1%}"),
-            pct(row, "mem_savings"),
-            pct(row, "worst_cpi_increase"),
-        ])
-    return format_table(
-        ["workload", "policy", "device", "mem J", "standby",
-         "mem savings", "worst CPI"],
-        table_rows, title=title)
+    return format_table([header for header, _, _ in columns], table_rows,
+                        title=title)

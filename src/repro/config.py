@@ -351,11 +351,6 @@ class SystemConfig:
     #: experiment cache ignores this flag too; it exists as an escape
     #: hatch and for measuring the speedup itself.
     fast_forward: bool = True
-    #: Absorb busy-period continuation chains inline (the deferred-
-    #: marker path in memsim/engine.py) instead of round-tripping each
-    #: request-path successor through the heap. Byte-identical on or
-    #: off — same contract and cache treatment as ``fast_forward``.
-    busy_absorption: bool = True
 
     def sorted_bus_freqs(self) -> List[float]:
         """Candidate bus frequencies, descending (highest first)."""
@@ -440,9 +435,12 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
     is validated before being returned. ``approx_steady_state`` names
     a removed approximate mode: payloads written before its removal
     carry it as ``false``, which is ignored; ``true`` asked for a mode
-    this version cannot run and is rejected.
+    this version cannot run and is rejected. The removed busy-chain
+    absorption knob is dropped at either value: it never changed a
+    result.
     """
     payload = dict(payload)
+    payload.pop("busy_absorption", None)
     if payload.pop("approx_steady_state", False):
         raise ConfigError(
             "approx_steady_state=true: the approximate steady-state "
@@ -464,7 +462,7 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
             kwargs[name] = cls(**payload[name])
     if "bus_freqs_mhz" in payload:
         kwargs["bus_freqs_mhz"] = tuple(payload["bus_freqs_mhz"])
-    for flag in ("validate_protocol", "fast_forward", "busy_absorption"):
+    for flag in ("validate_protocol", "fast_forward"):
         if flag in payload:
             kwargs[flag] = bool(payload[flag])
     config = SystemConfig(**kwargs)

@@ -220,7 +220,7 @@ class Bank:
             v.on_service_start(self._channel_id,
                                rank.global_rank_index, self.bank_id,
                                request, access, start, data_ready)
-        engine.post_chain_at(data_ready, lambda: self._bank_done(request))
+        engine.post_at(data_ready, lambda: self._bank_done(request))
 
     def _bank_done(self, request: MemRequest) -> None:
         """Array access complete; hold the bank and wait for the bus.
@@ -268,7 +268,7 @@ class Bank:
                 v.on_precharge(self._channel_id,
                                self._rank.global_rank_index, self.bank_id,
                                pre_start, free_at)
-            self._engine.post_chain_at(free_at, lambda: self._free(free_at))
+            self._engine.post_at(free_at, lambda: self._free(free_at))
 
     def _peek_next(self) -> Optional[MemRequest]:
         if self._controller._wb_priority[self._channel.channel_id]:

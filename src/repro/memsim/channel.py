@@ -77,7 +77,7 @@ class Channel:
         v = controller.validator
         if v is not None:
             v.on_burst(channel_id, request, start, end)
-        engine.post_chain_at(end, lambda: self._end_burst(request, bank))
+        engine.post_at(end, lambda: self._end_burst(request, bank))
 
     def _end_burst(self, request: MemRequest, bank: "Bank") -> None:
         request.complete_ns = self._engine._now

@@ -45,30 +45,8 @@ of grinding through them one heap pop at a time. The delegate returns
 True when it consumed work (the loop then re-examines the head) and
 False to fall back to normal execution. Skipped events are tallied in
 :attr:`events_fast_forwarded`; ``events_processed +
-events_fast_forwarded + events_busy_absorbed`` is therefore the
-simulated-event count independent of which absorption modes are on.
-
-Busy-period chain absorption
-----------------------------
-The idle delegate above only helps when the workload sleeps. Busy
-stretches are dominated by *continuation chains*: a request's arrival
-event posts its bank completion, which posts its bus burst, which posts
-the bank precharge release — each the sole successor of the previous
-one. :meth:`post_chain_at` lets those sites declare the continuation
-relationship: the sequence number is allocated immediately (preserving
-global tie ordering), but while a run loop is active and chain
-absorption is armed (:meth:`set_chain_absorption`) the entry is parked
-in a one-deep marker instead of the heap. After the posting callback
-fully unwinds back to the run loop, the marker is executed inline —
-skipping the heap push/pop pair — *only* when doing so is
-indistinguishable from dispatch: the continuation is due within the
-loop bound and strictly earlier than the heap head (ties fall back to a
-normal push so seq ordering decides, exactly as dispatch would). A
-second chain post while the marker is occupied, a stop-predicate hit,
-or loop exit all flush the marker to the heap with its already-correct
-sequence number, so results are byte-identical with the feature on or
-off. Absorbed continuations are tallied in
-:attr:`events_busy_absorbed`.
+events_fast_forwarded`` is therefore the simulated-event count
+independent of whether fast-forward is on.
 """
 
 from __future__ import annotations
@@ -128,8 +106,7 @@ class EventEngine:
 
     __slots__ = ("_now", "_queue", "_seq", "_events_processed",
                  "_events_fast_forwarded", "_fast_forward", "_tombstones",
-                 "_horizon", "_chain", "_chain_armed", "_absorb_chains",
-                 "_chain_absorbed")
+                 "_horizon")
 
     def __init__(self, start_time_ns: float = 0.0):
         self._now = start_time_ns
@@ -139,13 +116,6 @@ class EventEngine:
         self._events_fast_forwarded = 0
         self._fast_forward: Optional[Callable[[list, float], bool]] = None
         self._tombstones = 0
-        # One-deep deferred-continuation marker (see module docstring):
-        # a [time, seq, callback] entry parked instead of heap-pushed.
-        # Only ever non-None while a run loop is active.
-        self._chain: Optional[list] = None
-        self._chain_armed = False
-        self._absorb_chains = False
-        self._chain_absorbed = 0
         # Cached earliest live workload event time (None = recompute).
         # Invalidated whenever a workload entry is posted, dispatched,
         # or cancelled; going stale-low is safe (it only shortens a
@@ -170,10 +140,11 @@ class EventEngine:
 
     @property
     def events_busy_absorbed(self) -> int:
-        """Continuation events executed inline by chain absorption —
-        like :attr:`events_fast_forwarded` they *did* happen in
-        simulated time, they just never touched the heap."""
-        return self._chain_absorbed
+        """Always 0: every workload event is dispatched from the heap.
+
+        Kept only because ``e2ebench/tracing.py`` still reads it; it goes
+        once the benchmark stops doing so."""
+        return 0
 
     @property
     def pending(self) -> int:
@@ -201,52 +172,6 @@ class EventEngine:
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
         self.post_at(self._now + delay_ns, callback)
-
-    def post_chain_at(self, time_ns: float,
-                      callback: Callable[[], None]) -> None:
-        """Like :meth:`post_at`, but declare ``callback`` the sole
-        continuation of the currently-executing event.
-
-        The sequence number is allocated here, exactly as :meth:`post_at`
-        would — so however the entry later reaches execution (inline
-        absorption or heap fallback), tie ordering against every other
-        event is unchanged. While a run loop is active with chain
-        absorption armed and the marker is free, the entry is parked for
-        inline execution; otherwise it is heap-pushed normally.
-        """
-        if time_ns < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns} ns: current time is {self._now} ns"
-            )
-        self._seq = seq = self._seq + 1
-        if self._chain_armed and self._chain is None:
-            self._chain = [time_ns, seq, callback]
-            return
-        heappush(self._queue, [time_ns, seq, callback])
-        self._horizon = None
-
-    def post_chain(self, delay_ns: float,
-                   callback: Callable[[], None]) -> None:
-        """Continuation-declaring :meth:`post` (relative delay).
-
-        The body of :meth:`post_chain_at` is duplicated rather than
-        delegated: this is called once per request-path continuation.
-        """
-        if delay_ns < 0:
-            raise SimulationError(f"negative delay: {delay_ns}")
-        time_ns = self._now + delay_ns
-        self._seq = seq = self._seq + 1
-        if self._chain_armed and self._chain is None:
-            self._chain = [time_ns, seq, callback]
-            return
-        heappush(self._queue, [time_ns, seq, callback])
-        self._horizon = None
-
-    def set_chain_absorption(self, enabled: bool) -> None:
-        """Arm (or disarm) busy-period chain absorption for subsequent
-        run loops. Disarmed, :meth:`post_chain_at` degenerates to
-        :meth:`post_at` — the off-switch the equivalence tests flip."""
-        self._absorb_chains = bool(enabled)
 
     def post_housekeeping_at(self, time_ns: float,
                              callback: Callable[[], None],
@@ -444,52 +369,24 @@ class EventEngine:
             )
         queue = self._queue
         ff = self._fast_forward
-        prev_armed = self._chain_armed
-        self._chain_armed = self._absorb_chains
-        # dispatch tallies kept in locals and flushed once at loop exit
-        processed = 0
-        absorbed = 0
-        try:
-            while True:
-                chain = self._chain
-                if chain is not None:
-                    self._chain = None
-                    if chain[0] <= time_ns and (
-                            not queue or chain[0] < queue[0][0]):
-                        self._now = chain[0]
-                        absorbed += 1
-                        chain[2]()
-                        continue
-                    heappush(queue, chain)
-                    self._horizon = None
-                if not queue:
-                    break
-                head = queue[0]
-                callback = head[2]
-                if callback is None:
-                    heappop(queue)
-                    if self._tombstones:
-                        self._tombstones -= 1
-                    continue
-                if head[0] > time_ns:
-                    break
-                if len(head) == 3:
-                    self._horizon = None
-                elif ff is not None and ff(head, time_ns):
-                    continue
+        while queue:
+            head = queue[0]
+            callback = head[2]
+            if callback is None:
                 heappop(queue)
-                self._now = head[0]
-                processed += 1
-                callback()
-        finally:
-            self._chain_armed = prev_armed
-            self._events_processed += processed
-            self._chain_absorbed += absorbed
-            chain = self._chain
-            if chain is not None:
-                self._chain = None
-                heappush(queue, chain)
+                if self._tombstones:
+                    self._tombstones -= 1
+                continue
+            if head[0] > time_ns:
+                break
+            if len(head) == 3:
                 self._horizon = None
+            elif ff is not None and ff(head, time_ns):
+                continue
+            heappop(queue)
+            self._now = head[0]
+            self._events_processed += 1
+            callback()
         self._now = time_ns
 
     def run_until_stopped(self, time_ns: float,
@@ -511,51 +408,26 @@ class EventEngine:
             return True
         queue = self._queue
         ff = self._fast_forward
-        prev_armed = self._chain_armed
-        self._chain_armed = self._absorb_chains
-        try:
-            while True:
-                chain = self._chain
-                if chain is not None:
-                    self._chain = None
-                    if chain[0] <= time_ns and (
-                            not queue or chain[0] < queue[0][0]):
-                        self._now = chain[0]
-                        self._chain_absorbed += 1
-                        chain[2]()
-                        if should_stop():
-                            return True
-                        continue
-                    heappush(queue, chain)
-                    self._horizon = None
-                if not queue:
-                    break
-                head = queue[0]
-                callback = head[2]
-                if callback is None:
-                    heappop(queue)
-                    if self._tombstones:
-                        self._tombstones -= 1
-                    continue
-                if head[0] > time_ns:
-                    break
-                if len(head) == 3:
-                    self._horizon = None
-                elif ff is not None and ff(head, time_ns):
-                    continue
+        while queue:
+            head = queue[0]
+            callback = head[2]
+            if callback is None:
                 heappop(queue)
-                self._now = head[0]
-                self._events_processed += 1
-                callback()
-                if should_stop():
-                    return True
-        finally:
-            self._chain_armed = prev_armed
-            chain = self._chain
-            if chain is not None:
-                self._chain = None
-                heappush(queue, chain)
+                if self._tombstones:
+                    self._tombstones -= 1
+                continue
+            if head[0] > time_ns:
+                break
+            if len(head) == 3:
                 self._horizon = None
+            elif ff is not None and ff(head, time_ns):
+                continue
+            heappop(queue)
+            self._now = head[0]
+            self._events_processed += 1
+            callback()
+            if should_stop():
+                return True
         self._now = time_ns
         return should_stop()
 

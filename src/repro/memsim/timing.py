@@ -106,27 +106,6 @@ class TimingCalculator:
             return self._t.t_xp_ns
         return 0.0
 
-    def refresh_ns(self) -> float:
-        return self._t.t_rfc_ns
-
-    def refresh_interval_ns(self) -> float:
-        return self._t.t_refi_ns
-
-    def min_activate_gap_ns(self) -> float:
-        """tRRD: same-rank activate-to-activate spacing."""
-        return self._t.t_rrd_ns
-
-    def four_activate_window_ns(self) -> float:
-        """tFAW: rolling window for any four activates to one rank."""
-        return self._t.t_faw_ns
-
-    def row_cycle_ns(self) -> float:
-        """tRC: min activate-to-activate time for a single bank."""
-        return self._t.t_rc_ns
-
-    def ras_ns(self) -> float:
-        return self._t.t_ras_ns
-
     @staticmethod
     def burst_ns(freq: FrequencyPoint) -> float:
         """Data-burst time on the channel at the current frequency."""

@@ -32,8 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import (cap_summary_table, device_energy_table,
-                            format_table, multidomain_summary_table)
+from repro.analysis import format_table, summary_table
 from repro.config import SystemConfig
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.core.governor import Governor
@@ -358,9 +357,26 @@ def _cap_extras(runner, spec, governor, result, comparison):
     }
 
 
+#: Cap report columns, one row per (mix, budget) point; the throttle
+#: reference leaves the budget and ledger columns unset.
+CAP_COLUMNS = (
+    ("workload", "workload", "{}"),
+    ("governor", "governor", "{}"),
+    ("budget", "budget_fraction", "{:.0%}"),
+    ("cap W", "budget_w", "{:.2f}"),
+    ("avg W", "avg_power_w", "{:.2f}"),
+    ("viol", "violations", "{:d}"),
+    ("t>cap", "time_over_frac", "{:.1%}"),
+    ("infeas", "infeasible_epochs", "{:d}"),
+    ("min perf", "min_perf", "{:.3f}"),
+    ("worst CPI", "worst_cpi_increase", "{:+.1%}"),
+    ("sys savings", "system_savings", "{:+.1%}"),
+)
+
+
 def cap_outcome_row(outcome: SweepOutcome) -> Dict[str, object]:
-    """Flatten one cap outcome to the row dict
-    :func:`repro.analysis.cap_summary_table` renders."""
+    """Flatten one cap outcome to the row dict :data:`CAP_COLUMNS`
+    reads."""
     cap = outcome.cap or {}
     return {
         "workload": outcome.mix,
@@ -476,9 +492,26 @@ def _md_extras(runner, spec, governor, result, comparison):
     }
 
 
+#: Multi-domain report columns, one row per (mix, budget, leg) point;
+#: fields absent on the memory-only reference legs stay unset.
+MULTIDOMAIN_COLUMNS = (
+    ("workload", "workload", "{}"),
+    ("governor", "governor", "{}"),
+    ("budget", "budget_fraction", "{:.0%}"),
+    ("cap W", "budget_w", "{:.2f}"),
+    ("avg W", "avg_power_w", "{:.2f}"),
+    ("core W", "avg_core_power_w", "{:.2f}"),
+    ("core MHz", "avg_core_mhz", "{:.0f}"),
+    ("viol", "violations", "{:d}"),
+    ("infeas", "infeasible_epochs", "{:d}"),
+    ("min perf", "min_perf", "{:.3f}"),
+    ("sys J", "system_energy_j", "{:.4f}"),
+)
+
+
 def multidomain_outcome_row(outcome: SweepOutcome) -> Dict[str, object]:
     """Flatten one multi-domain outcome to the row dict
-    :func:`repro.analysis.multidomain_summary_table` renders."""
+    :data:`MULTIDOMAIN_COLUMNS` reads."""
     summary = outcome.summary or {}
     return {
         "workload": outcome.mix,
@@ -698,8 +731,23 @@ def _scenario_extras(runner, spec, governor, result, comparison):
     return {"background_share": background / dimm_j if dimm_j > 0 else 0.0}
 
 
+#: Scenario report columns, one row per (mix, policy, device) point.
+#: "standby" is background energy as a share of DIMM energy, the column
+#: that makes the STT-MRAM-style standby shift visible; savings are
+#: against the per-device baseline.
+SCENARIO_COLUMNS = (
+    ("workload", "workload", "{}"),
+    ("policy", "policy", "{}"),
+    ("device", "device", "{}"),
+    ("mem J", "memory_energy_j", "{:.4f}"),
+    ("standby", "background_share", "{:.1%}"),
+    ("mem savings", "mem_savings", "{:+.1%}"),
+    ("worst CPI", "worst_cpi_increase", "{:+.1%}"),
+)
+
+
 def scenario_row(o: SweepOutcome) -> Dict[str, object]:
-    """One :func:`repro.analysis.device_energy_table` row."""
+    """One row dict :data:`SCENARIO_COLUMNS` reads."""
     return {
         "workload": o.mix, "policy": o.policy, "device": o.device,
         "memory_energy_j": o.result.memory_energy_j,
@@ -728,8 +776,8 @@ KINDS: Dict[str, JobKind] = {kind.name: kind for kind in (
             cap_specs(mixes, budgets),
         axes=("budgets",),
         outcome_fields={"budget_fraction": "budget_fraction"},
-        table=lambda outcomes, title: cap_summary_table(
-            [cap_outcome_row(o) for o in outcomes], title=title),
+        table=lambda outcomes, title: summary_table(
+            CAP_COLUMNS, [cap_outcome_row(o) for o in outcomes], title),
         title="power-cap sweep", axis="points (budgets + throttle)",
         governor=_cap_governor, extras=_cap_extras,
         notes="budgets are fractions of each mix's baseline average "
@@ -745,8 +793,9 @@ KINDS: Dict[str, JobKind] = {kind.name: kind for kind in (
         axes=("budgets",),
         outcome_fields={"budget_fraction": "budget_fraction",
                         "coordinated": "coordinated"},
-        table=lambda outcomes, title: multidomain_summary_table(
-            [multidomain_outcome_row(o) for o in outcomes], title=title),
+        table=lambda outcomes, title: summary_table(
+            MULTIDOMAIN_COLUMNS,
+            [multidomain_outcome_row(o) for o in outcomes], title),
         title="multi-domain budget sweep",
         axis="points (budgets x coordinated + memory-only)",
         governor=_md_governor, extras=_md_extras,
@@ -777,8 +826,8 @@ KINDS: Dict[str, JobKind] = {kind.name: kind for kind in (
             scenario_specs(mixes, policies, devices or ["ddr3-1333"]),
         axes=("devices",),
         outcome_fields={"policy": "policy", "device": "device"},
-        table=lambda outcomes, title: device_energy_table(
-            [scenario_row(o) for o in outcomes], title=title),
+        table=lambda outcomes, title: summary_table(
+            SCENARIO_COLUMNS, [scenario_row(o) for o in outcomes], title),
         title="scenario sweep", axis="(policy, device) points",
         configure=_device_config, extras=_scenario_extras,
         notes="savings are normalized within each device (vs that "

@@ -4,10 +4,9 @@ flattening, table rendering, and the v2 telemetry it streams."""
 
 import pytest
 
-from repro.analysis import cap_summary_table
 from repro.config import NS_PER_US, scaled_config
 from repro.sim import load_telemetry, run_jobs
-from repro.sim.jobs import cap_label, cap_outcome_row, cap_specs
+from repro.sim.jobs import KINDS, cap_label, cap_outcome_row, cap_specs
 from repro.sim.runner import RunnerSettings
 from repro.sim.telemetry import TELEMETRY_SCHEMA_VERSION
 
@@ -97,7 +96,7 @@ class TestRowsAndTable:
         assert throttle_row["violations"] is None
 
     def test_table_renders_none_as_dash(self, outcomes):
-        table = cap_summary_table([cap_outcome_row(o) for o in outcomes])
+        table = KINDS["cap"].table(outcomes, "power-cap sweep")
         lines = table.splitlines()
         assert lines[0] == "power-cap sweep"
         throttle_line = next(line for line in lines

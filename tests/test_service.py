@@ -286,11 +286,18 @@ class TestOpenRoundTrip:
         records[0]["config"].update(fields)
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
-    def test_removed_approx_flag_false_keeps_config_hash(self, tmp_path):
+    @pytest.mark.parametrize("field,value", [
+        ("approx_steady_state", False),
+        ("busy_absorption", True),
+        ("busy_absorption", False),
+    ], ids=str)
+    def test_removed_knob_keeps_config_hash(self, tmp_path, field, value):
+        # Ledgers written before a knob's removal still store it; a
+        # value that never changed a result loads and is dropped.
         specs = policy_specs(["MID1"], ["Static"])
         svc = make_service(tmp_path / "s")
         svc.run(specs)
-        self.write_meta_config(tmp_path / "s", approx_steady_state=False)
+        self.write_meta_config(tmp_path / "s", **{field: value})
         reopened = SweepService.open(tmp_path / "s")
         assert reopened.config_hash == svc.config_hash
         # same job keys: nothing re-enqueued, nothing left to run

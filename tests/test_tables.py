@@ -8,8 +8,9 @@ from repro.analysis import (
     format_series,
     format_table,
     percent,
-    savings_table,
+    summary_table,
 )
+from repro.sim.jobs import CAP_COLUMNS
 
 
 class TestFormatTable:
@@ -70,18 +71,6 @@ class TestCharts:
             format_series([1.0], [1.0, 2.0], "t", "v")
 
 
-class TestSavingsTable:
-    def test_rows_and_columns(self):
-        out = savings_table({"MID1": {"mem": 0.4, "sys": 0.15}})
-        assert "MID1" in out
-        assert "+40.0%" in out
-        assert "+15.0%" in out
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            savings_table({})
-
-
 class TestCapSummaryTable:
     ROW = {
         "workload": "MID1", "governor": "Cap-20.00W",
@@ -92,8 +81,7 @@ class TestCapSummaryTable:
     }
 
     def test_renders_all_columns(self):
-        from repro.analysis import cap_summary_table
-        out = cap_summary_table([self.ROW])
+        out = summary_table(CAP_COLUMNS, [self.ROW], "power-cap sweep")
         assert "power-cap sweep" in out
         assert "90%" in out
         assert "20.00" in out
@@ -101,23 +89,20 @@ class TestCapSummaryTable:
         assert "+5.0%" in out and "+8.0%" in out
 
     def test_empty_rejected(self):
-        from repro.analysis import cap_summary_table
-        with pytest.raises(ValueError, match="no cap results"):
-            cap_summary_table([])
+        with pytest.raises(ValueError, match="no rows"):
+            summary_table(CAP_COLUMNS, [])
 
     def test_none_budget_columns_render_as_dash(self):
-        from repro.analysis import cap_summary_table
         throttle = dict(self.ROW, governor="Static-200MHz",
                         budget_fraction=None, budget_w=None,
                         violations=None, time_over_frac=None,
                         infeasible_epochs=None)
-        out = cap_summary_table([throttle], title=None)
+        out = summary_table(CAP_COLUMNS, [throttle], title=None)
         row_line = out.splitlines()[-1]
         assert row_line.split().count("-") >= 5
 
     def test_single_row_single_app_mix(self):
-        from repro.analysis import cap_summary_table
         row = dict(self.ROW, workload="ILP1", min_perf=1.0)
-        out = cap_summary_table([row])
+        out = summary_table(CAP_COLUMNS, [row])
         assert "ILP1" in out
         assert "1.000" in out

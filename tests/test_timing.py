@@ -55,15 +55,15 @@ class TestPowerdownExits:
 
 class TestWindowsAndRefresh:
     def test_activation_windows(self, calc):
-        assert calc.min_activate_gap_ns() == pytest.approx(5.0)
-        assert calc.four_activate_window_ns() == pytest.approx(25.0)
+        assert calc.timings.t_rrd_ns == pytest.approx(5.0)
+        assert calc.timings.t_faw_ns == pytest.approx(25.0)
 
     def test_row_cycle(self, calc):
-        assert calc.row_cycle_ns() == pytest.approx(50.0)
+        assert calc.timings.t_rc_ns == pytest.approx(50.0)
 
     def test_refresh_times(self, calc):
-        assert calc.refresh_ns() == pytest.approx(110.0)
-        assert calc.refresh_interval_ns() == pytest.approx(64e6 / 8192)
+        assert calc.timings.t_rfc_ns == pytest.approx(110.0)
+        assert calc.timings.t_refi_ns == pytest.approx(64e6 / 8192)
 
 
 class TestFrequencyDependentOperations:
