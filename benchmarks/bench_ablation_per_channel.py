@@ -8,7 +8,6 @@ saves additional energy at no extra CPI cost.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import run_once
 from repro.analysis import format_table

@@ -8,8 +8,6 @@ latency. This ablation verifies that design choice inside our
 simulator and shows MemScale's savings hold under either policy.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.config import scaled_config
@@ -18,16 +16,15 @@ from repro.cpu.workloads import mix_names
 
 def run_policy_variant(ctx, row_policy):
     cfg = scaled_config().with_org(row_policy=row_policy)
-    runner = ctx.runner(config=cfg, key=("rowpol", row_policy))
+    outcomes = ctx.sweep(mix_names("MID"), ["Baseline", "MemScale"], cfg)
     base_cpi, savings, worst = [], [], []
-    for mix in mix_names("MID"):
-        base = runner.baseline(mix)
-        cpis = base.core_cpi(cfg.cpu.cycle_ns)
-        base_cpi.append(float(cpis.mean()))
-        cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                             key=("rowpol", row_policy))
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
+    for o in outcomes:
+        if o.policy == "Baseline":
+            cpis = o.result.core_cpi(cfg.cpu.cycle_ns)
+            base_cpi.append(float(cpis.mean()))
+        else:
+            savings.append(o.comparison.system_energy_savings)
+            worst.append(o.comparison.worst_cpi_increase)
     n = len(base_cpi)
     return sum(base_cpi) / n, sum(savings) / n, max(worst)
 

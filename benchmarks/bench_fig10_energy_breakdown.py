@@ -7,8 +7,6 @@ Paper: MemScale reduces DRAM, PLL/Reg, and MC energy more than the
 alternatives; Decoupled only reduces DRAM energy.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import mix_names
@@ -28,12 +26,14 @@ def grouped_energy(cmp):
 
 def test_fig10_energy_breakdown(benchmark, ctx):
     def run_all():
+        outcomes = ctx.sweep(mix_names("MID"), POLICIES)
         out = {}
         for policy in POLICIES:
             dram_p = reg_p = mc_p = dram_b = reg_b = mc_b = 0.0
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, policy)
-                (dp, rp, mp), (db, rb, mb) = grouped_energy(cmp)
+            for o in outcomes:
+                if o.policy != policy:
+                    continue
+                (dp, rp, mp), (db, rb, mb) = grouped_energy(o.comparison)
                 dram_p += dp; reg_p += rp; mc_p += mp
                 dram_b += db; reg_b += rb; mc_b += mb
             out[policy] = {

@@ -5,25 +5,25 @@ MemScale (MemEnergy) slightly exceeds it; Slow-PD hurts one app by 15%;
 Fast-PD/Decoupled/Static cost only a few percent.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
-from repro.cpu.workloads import mix_names
+from repro.sim.experiments import FIGURES
 
-POLICIES = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-            "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
+FIGURE = FIGURES[11]
+POLICIES = FIGURE.policies
 
 
 def test_fig11_policy_cpi(benchmark, ctx):
     def run_all():
+        outcomes = ctx.sweep(FIGURE.mixes, POLICIES)
         out = {}
         for policy in POLICIES:
             avgs, worsts = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, policy)
-                avgs.append(cmp.avg_cpi_increase)
-                worsts.append(cmp.worst_cpi_increase)
+            for o in outcomes:
+                if o.policy != policy:
+                    continue
+                avgs.append(o.comparison.avg_cpi_increase)
+                worsts.append(o.comparison.worst_cpi_increase)
             out[policy] = (sum(avgs) / len(avgs), max(worsts))
         return out
 

@@ -8,30 +8,20 @@ because lengthening execution costs the rest of the system more energy
 than memory saves.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, savings_and_worst
 from repro.analysis import format_table
 from repro.config import scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim.experiments import FIGURES
 
-BOUNDS = (0.01, 0.05, 0.10, 0.15)
+FIGURE = FIGURES[12]
+BOUNDS = FIGURE.values
 
 
 def test_fig12_cpi_bound(benchmark, ctx):
     def run_all():
-        out = {}
-        for bound in BOUNDS:
-            cfg = scaled_config().with_policy(cpi_bound=bound)
-            runner = ctx.runner(config=cfg, key=("bound", bound))
-            savings, worst = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                                     key=("bound", bound))
-                savings.append(cmp.system_energy_savings)
-                worst.append(cmp.worst_cpi_increase)
-            out[bound] = (sum(savings) / len(savings), max(worst))
-        return out
+        return {value: savings_and_worst(
+                    ctx.sweep(FIGURE.mixes, FIGURE.policies, config))
+                for value, config in FIGURE.variants(scaled_config())}
 
     stats = run_once(benchmark, run_all)
 

@@ -10,9 +10,6 @@ Paper's qualitative claims to match:
   (4) the MC contributes a significant share.
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import mix_names
@@ -29,10 +26,10 @@ COMPONENT_LABELS = [
 
 
 def test_fig2_power_breakdown(benchmark, ctx):
-    runner = ctx.runner()
-
     def run_baselines():
-        return {cat: [runner.baseline(m) for m in mix_names(cat)]
+        # A "Baseline" outcome's run is the all-on reference run itself.
+        return {cat: [o.result for o in ctx.sweep(mix_names(cat),
+                                                  ["Baseline"])]
                 for cat in ("MEM", "MID", "ILP")}
 
     by_cat = run_once(benchmark, run_baselines)

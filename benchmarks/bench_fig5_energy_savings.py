@@ -1,24 +1,25 @@
 """Figure 5 — memory and full-system energy savings per workload.
 
 MemScale vs the all-on baseline at a 10% CPI bound, for all 12 mixes.
-The twelve runs fan out across worker processes via the parallel sweep
-layer (``repro.sim.parallel``); Figure 6 then reuses the same runs from
-the session cache.
+The grid is Figure 5's entry in ``repro.sim.experiments.FIGURES``;
+its twelve runs fan out across worker processes, and Figure 6 reads the
+same runs from the session memo.
 
 Paper: memory savings 17%-71%, system savings 6%-31%; ILP mixes save
 the most (system >= 30%), MID at least 15%, MEM at least 6%.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_bar_chart, format_table
 from repro.cpu.workloads import MIXES, mix_names
+from repro.sim.experiments import FIGURES
+
+FIGURE = FIGURES[5]
 
 
 def test_fig5_energy_savings(benchmark, ctx):
     def run_all():
-        outcomes = ctx.sweep(list(MIXES), ["MemScale"])
+        outcomes = ctx.sweep(FIGURE.mixes, FIGURE.policies)
         return {o.mix: o.comparison for o in outcomes}
 
     comparisons = run_once(benchmark, run_all)

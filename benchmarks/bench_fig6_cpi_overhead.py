@@ -7,8 +7,6 @@ Paper: no application slowed more than 9.2%; per-mix averages never
 above 7.2%; degradations smallest for ILP, then MID, then MEM.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import MIXES, mix_names
@@ -20,7 +18,8 @@ BOUND_SLOP = 0.02
 
 def test_fig6_cpi_overhead(benchmark, ctx):
     def run_all():
-        return {mix: ctx.memscale_run(mix)[1] for mix in MIXES}
+        return {o.mix: o.comparison
+                for o in ctx.sweep(list(MIXES), ["MemScale"])}
 
     comparisons = run_once(benchmark, run_all)
 

@@ -7,7 +7,6 @@ boundary, and raises the frequency; apsi stays within the bound.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
@@ -15,9 +14,10 @@ from repro.analysis import format_table
 
 def test_fig7_timeline_mid3(benchmark, ctx):
     def run():
-        return ctx.memscale_run("MID3")
+        return ctx.sweep(["MID3"], ["MemScale"])[0]
 
-    result, comparison = run_once(benchmark, run)
+    outcome = run_once(benchmark, run)
+    result, comparison = outcome.result, outcome.comparison
 
     rows = []
     for sample in result.timeline:

@@ -5,20 +5,16 @@ policy alternates between neighbouring frequencies, synthesizing a
 virtual frequency (the paper runs this mix on an 8-core system).
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_series
 
 
 def test_fig8_timeline_mem4(benchmark, ctx):
-    runner = ctx.runner(cores=8, key=("fig8", 8))
-
     def run():
-        return ctx.memscale_run("MEM4", runner=runner, key=("fig8",))
+        return ctx.sweep(["MEM4"], ["MemScale"], cores=8)[0]
 
-    result, comparison = run_once(benchmark, run)
+    outcome = run_once(benchmark, run)
+    result, comparison = outcome.result, outcome.comparison
 
     times = [s.time_ns / 1000.0 for s in result.timeline]
     freqs = [s.bus_mhz for s in result.timeline]

@@ -2,40 +2,35 @@
 
 Average memory/system energy savings across the MID workloads for:
 Fast-PD, Slow-PD, Decoupled DIMMs, Static, MemScale (MemEnergy),
-MemScale, and MemScale + Fast-PD. The 4 x 7 (mix, policy) grid fans out
-across worker processes via the parallel sweep layer; Figures 10/11
-reuse the same runs from the session cache.
+MemScale, and MemScale + Fast-PD. The 4 x 7 (mix, policy) grid is
+Figure 9's entry in ``repro.sim.experiments.FIGURES``; Figures 10/11
+read the same runs, and whichever of the three benches runs first
+simulates them (the session memo hands the others its outcomes).
 
 Paper: Fast-PD saves little; Slow-PD *loses* system energy; Decoupled
 beats Fast-PD; Static beats Decoupled; MemScale beats Static and saves
 ~3x more than Decoupled.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
-from repro.cpu.workloads import mix_names
+from repro.sim.experiments import FIGURES
 
-POLICIES = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-            "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
+FIGURE = FIGURES[9]
+POLICIES = FIGURE.policies
 
 
-def mid_average(ctx, policy):
-    mems, syss = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, policy)
-        mems.append(cmp.memory_energy_savings)
-        syss.append(cmp.system_energy_savings)
+def mid_average(outcomes, policy):
+    cmps = [o.comparison for o in outcomes if o.policy == policy]
+    mems = [cmp.memory_energy_savings for cmp in cmps]
+    syss = [cmp.system_energy_savings for cmp in cmps]
     return sum(mems) / len(mems), sum(syss) / len(syss)
 
 
 def test_fig9_policy_comparison(benchmark, ctx):
     def run_all():
-        # One parallel sweep fills the session cache; the averages then
-        # read back the per-(mix, policy) comparisons.
-        ctx.sweep(mix_names("MID"), POLICIES)
-        return {p: mid_average(ctx, p) for p in POLICIES}
+        outcomes = ctx.sweep(FIGURE.mixes, POLICIES)
+        return {p: mid_average(outcomes, p) for p in POLICIES}
 
     averages = run_once(benchmark, run_all)
 

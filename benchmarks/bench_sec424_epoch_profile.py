@@ -6,9 +6,7 @@ We sweep the same ratios at the scaled epoch size (epoch x0.5/x1/x2,
 profile 5%/10%/25% of the epoch).
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, savings_and_worst
 from repro.analysis import format_table
 from repro.config import NS_PER_US, scaled_config
 from repro.cpu.workloads import mix_names
@@ -17,14 +15,8 @@ EPOCHS_US = (10.0, 20.0, 40.0)
 PROFILE_FRACS = (0.05, 0.10, 0.25)
 
 
-def mid_stats(ctx, cfg, key):
-    runner = ctx.runner(config=cfg, key=key)
-    savings, worst = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, "MemScale", runner=runner, key=key)
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
-    return sum(savings) / len(savings), max(worst)
+def mid_stats(ctx, cfg):
+    return savings_and_worst(ctx.sweep(mix_names("MID"), ["MemScale"], cfg))
 
 
 def test_sec424_epoch_and_profile_length(benchmark, ctx):
@@ -33,12 +25,11 @@ def test_sec424_epoch_and_profile_length(benchmark, ctx):
         for epoch_us in EPOCHS_US:
             cfg = scaled_config(epoch_ns=epoch_us * NS_PER_US,
                                 profile_ns=0.10 * epoch_us * NS_PER_US)
-            out[("epoch", epoch_us)] = mid_stats(ctx, cfg,
-                                                 ("epoch", epoch_us))
+            out[("epoch", epoch_us)] = mid_stats(ctx, cfg)
         for frac in PROFILE_FRACS:
             cfg = scaled_config(epoch_ns=20.0 * NS_PER_US,
                                 profile_ns=frac * 20.0 * NS_PER_US)
-            out[("profile", frac)] = mid_stats(ctx, cfg, ("profile", frac))
+            out[("profile", frac)] = mid_stats(ctx, cfg)
         return out
 
     stats = run_once(benchmark, run_all)

@@ -5,30 +5,22 @@ multiplying memory traffic 2-4x; system savings drop to 7.6%-10.4% but
 the bound still holds.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, savings_and_worst
 from repro.analysis import format_table
 from repro.config import scaled_config
 from repro.cpu.workloads import mix_names
 
 
-def mid_stats(ctx, runner, key):
-    savings, worst = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, "MemScale", runner=runner, key=key)
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
-    return sum(savings) / len(savings), max(worst)
+def mid_stats(ctx, config, cores):
+    return savings_and_worst(
+        ctx.sweep(mix_names("MID"), ["MemScale"], config, cores))
 
 
 def test_sec424_more_cores(benchmark, ctx):
     def run_all():
         out = {}
-        out[16] = mid_stats(ctx, ctx.runner(), ())
-        cfg32 = scaled_config().with_cpu(cores=32)
-        runner32 = ctx.runner(config=cfg32, cores=32, key=("cores", 32))
-        out[32] = mid_stats(ctx, runner32, ("cores", 32))
+        out[16] = mid_stats(ctx, scaled_config(), 16)
+        out[32] = mid_stats(ctx, scaled_config().with_cpu(cores=32), 32)
         return out
 
     stats = run_once(benchmark, run_all)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from typing import List, Optional
 
@@ -386,8 +387,6 @@ def cmd_cache(args) -> None:
     stats = cache.stats()
     print(f"cache root       : {stats['root']}")
     print(f"trace entries    : {stats['trace_entries']}")
-    if stats["legacy_trace_entries"]:
-        print(f"  legacy (.npz)  : {stats['legacy_trace_entries']}")
     print(f"run entries      : {stats['run_entries']}")
     if stats["orphan_files"]:
         print(f"orphan files     : {stats['orphan_files']} "
@@ -567,39 +566,35 @@ def cmd_query(args) -> None:
 
 
 def cmd_figure(args) -> None:
-    runner = _make_runner(args)
-    settings = runner.settings
-    fig = args.number
-    if fig in (5, 6):
-        result = experiments.energy_savings(runner)
-    elif fig in (9, 10, 11):
-        result = experiments.policy_comparison(runner)
-    elif fig == 12:
-        result = experiments.sensitivity_cpi_bound(settings=settings)
-    elif fig == 13:
-        result = experiments.sensitivity_channels(settings=settings)
-    elif fig == 14:
-        result = experiments.sensitivity_memory_fraction(settings=settings)
-    elif fig == 15:
-        result = experiments.sensitivity_proportionality(settings=settings)
-    else:
+    figure = experiments.FIGURES.get(args.number)
+    if figure is None:
         raise SystemExit("supported figures: 5 6 9 10 11 12 13 14 15 "
                          "(7/8 via the 'timeline' command)")
-    if not result.rows:
-        raise SystemExit("experiment produced no rows")
-    columns = [c for c in result.rows[0] if c != "app_cpi"]
-    rows = [[_fmt(row[c]) for c in columns] for row in result.rows]
-    print(format_table(columns, rows, title=result.name))
-    if result.notes:
-        print(f"\n{result.notes}")
+    # A private cache lets the sweep workers share traces and baselines
+    # without leaving files behind.
+    with tempfile.TemporaryDirectory(prefix="repro-figure-") as cache_dir:
+        grids = experiments.run_figure(
+            figure, config=_config_from_args(args),
+            settings=_settings_from_args(args), cache_dir=cache_dir)
+    tables: List[str] = []
+    failed: List[JobFailure] = []
+    for value, outcomes in grids:
+        good, bad = split_outcomes(outcomes)
+        failed.extend(bad)
+        if good:
+            tables.append(KINDS["policy"].table(good, figure.title(value)))
+    print("\n\n".join(tables))
+    if figure.notes:
+        print(f"\n{figure.notes}")
+    _report_failures(failed, f"figure {args.number}")
 
 
 def cmd_timeline(args) -> None:
     mix = _check_mix(args.mix)
     runner = _make_runner(args)
-    result = experiments.timeline(runner, mix)
+    samples, cmp = experiments.timeline(runner, mix)
     rows = []
-    for row in result.rows:
+    for row in samples:
         worst_app = max(row["app_cpi"], key=row["app_cpi"].get) \
             if row["app_cpi"] else "-"
         rows.append([
@@ -610,7 +605,7 @@ def cmd_timeline(args) -> None:
     print(format_table(
         ["time (us)", "bus MHz", "mean util", "memory W", "slowest app"],
         rows, title=f"timeline of {mix} under MemScale"))
-    print(f"\n{result.notes}")
+    print(f"\nworst CPI increase {cmp.worst_cpi_increase:.1%}")
 
 
 def cmd_stats(args) -> None:
@@ -641,12 +636,6 @@ def cmd_best_static(args) -> None:
     print(f"MemScale (no reboot, no oracle) on the same trace:")
     print(f"  system energy savings : {memscale.system_energy_savings:+.1%}")
     print(f"  worst CPI increase    : {memscale.worst_cpi_increase:+.1%}")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,160 +1,130 @@
-"""Programmatic experiment API.
+"""Programmatic experiment API: the paper's sweep figures as data.
 
-High-level functions that regenerate each of the paper's result sets as
-structured data (lists of row dicts). The benchmark harness prints the
-same numbers; this module is the API a downstream user or the CLI calls
-to run the experiments at any scale and post-process the results.
+Every sweep figure of the evaluation (Section 4) is a grid of
+independent (mix x policy) runs, each judged against the mix's all-on
+baseline; the sensitivity figures (12-15) repeat the grid over named
+config variants. :data:`FIGURES` declares each figure once and
+:func:`run_figure` runs its grids through
+:func:`~repro.sim.parallel.run_sweep`, the parallel job path
+``repro sweep`` and the benchmark harness also use; ``repro figure``
+and the figure benches read their grids from :data:`FIGURES`. Figures 7/8
+(:func:`timeline`) and the static oracle
+(:func:`best_static_frequency`) read single runs of one runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.cpu.workloads import MIXES, mix_names
+from repro.sim.cache import DEFAULT_CACHE_DIR
+from repro.sim.jobs import SweepOutcome
+from repro.sim.parallel import PathLike, run_sweep
 from repro.sim.results import PolicyComparison
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 
 
-@dataclass
-class ExperimentResult:
-    """Structured output of one experiment: named rows plus notes."""
+@dataclass(frozen=True)
+class Figure:
+    """One sweep figure: its (mix x policy) grid and, for a sensitivity
+    figure, the named config variants the grid repeats over."""
 
     name: str
-    rows: List[Dict[str, object]] = field(default_factory=list)
+    mixes: Tuple[str, ...]
+    policies: Tuple[str, ...] = ("MemScale",)
+    #: The swept config parameter; None for a single-grid figure.
+    param: Optional[str] = None
+    values: Tuple[float, ...] = ()
+    #: ``(base config, value) -> the variant's config``.
+    vary: Optional[Callable[[SystemConfig, float], SystemConfig]] = None
     notes: str = ""
 
-    def column(self, key: str) -> List[object]:
-        return [row[key] for row in self.rows]
+    def variants(self, config: SystemConfig
+                 ) -> List[Tuple[Optional[float], SystemConfig]]:
+        """``(value, config)`` of every grid, in figure order."""
+        if self.vary is None:
+            return [(None, config)]
+        return [(value, self.vary(config, value)) for value in self.values]
+
+    def title(self, value: Optional[float]) -> str:
+        """Report title of the grid at ``value``."""
+        if value is None:
+            return self.name
+        return f"{self.name}: {self.param}={value:g}"
 
 
-def _comparison_row(mix: str, cmp: PolicyComparison) -> Dict[str, object]:
-    return {
-        "workload": mix,
-        "policy": cmp.governor,
-        "memory_savings": cmp.memory_energy_savings,
-        "system_savings": cmp.system_energy_savings,
-        "avg_cpi_increase": cmp.avg_cpi_increase,
-        "worst_cpi_increase": cmp.worst_cpi_increase,
-    }
+_MID = tuple(mix_names("MID"))
+
+_ENERGY = Figure(
+    "fig5_6_energy_savings", tuple(MIXES),
+    notes="MemScale vs all-on baseline at the configured CPI bound")
+
+_POLICIES = Figure(
+    "fig9_11_policy_comparison", _MID,
+    policies=("Fast-PD", "Slow-PD", "Decoupled", "Static",
+              "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"),
+    notes="all policies on identical traces, vs the all-on baseline")
+
+#: Figure number -> its declaration; figures drawn from the same runs
+#: share one entry.
+FIGURES: Dict[int, Figure] = {
+    5: _ENERGY, 6: _ENERGY,
+    9: _POLICIES, 10: _POLICIES, 11: _POLICIES,
+    12: Figure("fig12_cpi_bound", _MID, param="cpi_bound",
+               values=(0.01, 0.05, 0.10, 0.15),
+               vary=lambda config, bound:
+                   config.with_policy(cpi_bound=bound)),
+    # About 8 DIMMs in every variant: the paper varies the channel
+    # count, not the memory capacity.
+    13: Figure("fig13_channels", _MID, param="channels", values=(2, 3, 4),
+               vary=lambda config, channels: config.with_org(
+                   channels=channels,
+                   dimms_per_channel=max(1, round(8 / channels)))),
+    14: Figure("fig14_memory_fraction", _MID, param="memory_fraction",
+               values=(0.30, 0.40, 0.50),
+               vary=lambda config, fraction:
+                   config.with_power(memory_power_fraction=fraction)),
+    15: Figure("fig15_proportionality", _MID, param="idle_frac",
+               values=(0.0, 0.5, 1.0),
+               vary=lambda config, idle:
+                   config.with_power(proportionality_idle_frac=idle)),
+}
 
 
-def energy_savings(runner: ExperimentRunner,
-                   mixes: Optional[Sequence[str]] = None
-                   ) -> ExperimentResult:
-    """Figures 5 and 6: MemScale vs baseline for each mix."""
-    mixes = list(mixes) if mixes is not None else list(MIXES)
-    result = ExperimentResult(
-        "fig5_6_energy_savings",
-        notes="MemScale vs all-on baseline at the configured CPI bound")
-    for mix in mixes:
-        _, cmp = runner.run_memscale(mix)
-        result.rows.append(_comparison_row(mix, cmp))
-    return result
+def run_figure(figure: Figure, config: Optional[SystemConfig] = None,
+               settings: Optional[RunnerSettings] = None,
+               jobs: Optional[int] = None,
+               cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR
+               ) -> List[Tuple[Optional[float], List[SweepOutcome]]]:
+    """Run every grid of ``figure`` through :func:`run_sweep`.
+
+    Returns ``(value, outcomes)`` per variant, in figure order; each
+    outcome list is in ``(mix, policy)`` order and may hold
+    :class:`~repro.sim.jobs.JobFailure` records.
+    """
+    config = config if config is not None else scaled_config()
+    return [(value, run_sweep(figure.mixes, figure.policies, config=cfg,
+                              settings=settings, jobs=jobs,
+                              cache_dir=cache_dir))
+            for value, cfg in figure.variants(config)]
 
 
-def policy_comparison(runner: ExperimentRunner,
-                      mixes: Optional[Sequence[str]] = None,
-                      policies: Optional[Sequence[str]] = None
-                      ) -> ExperimentResult:
-    """Figures 9-11: every policy vs the baseline on the given mixes."""
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    if policies is None:
-        policies = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-                    "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
-    result = ExperimentResult(
-        "fig9_11_policy_comparison",
-        notes="all policies on identical traces, vs the all-on baseline")
-    for policy in policies:
-        for mix in mixes:
-            cmp = runner.compare_named(mix, policy)
-            result.rows.append(_comparison_row(mix, cmp))
-    return result
-
-
-def _sweep(configs: Iterable[Tuple[object, SystemConfig]],
-           settings: RunnerSettings,
-           mixes: Sequence[str], name: str, param: str) -> ExperimentResult:
-    result = ExperimentResult(name)
-    for value, config in configs:
-        runner = ExperimentRunner(config=config, settings=settings)
-        for mix in mixes:
-            _, cmp = runner.run_memscale(mix)
-            row = _comparison_row(mix, cmp)
-            row[param] = value
-            result.rows.append(row)
-    return result
-
-
-def sensitivity_cpi_bound(bounds: Sequence[float] = (0.01, 0.05, 0.10, 0.15),
-                          settings: Optional[RunnerSettings] = None,
-                          mixes: Optional[Sequence[str]] = None
-                          ) -> ExperimentResult:
-    """Figure 12: sweep the allowed CPI degradation."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(b, scaled_config().with_policy(cpi_bound=b)) for b in bounds]
-    return _sweep(configs, settings, mixes, "fig12_cpi_bound", "cpi_bound")
-
-
-def sensitivity_channels(channels: Sequence[int] = (2, 3, 4),
-                         settings: Optional[RunnerSettings] = None,
-                         mixes: Optional[Sequence[str]] = None
-                         ) -> ExperimentResult:
-    """Figure 13: sweep the channel count (total DIMMs held ~constant)."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [
-        (c, scaled_config().with_org(channels=c,
-                                     dimms_per_channel=max(1, round(8 / c))))
-        for c in channels
-    ]
-    return _sweep(configs, settings, mixes, "fig13_channels", "channels")
-
-
-def sensitivity_memory_fraction(fractions: Sequence[float] = (0.3, 0.4, 0.5),
-                                settings: Optional[RunnerSettings] = None,
-                                mixes: Optional[Sequence[str]] = None
-                                ) -> ExperimentResult:
-    """Figure 14: sweep the DIMM share of server power."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(f, scaled_config().with_power(memory_power_fraction=f))
-               for f in fractions]
-    return _sweep(configs, settings, mixes, "fig14_memory_fraction",
-                  "memory_fraction")
-
-
-def sensitivity_proportionality(idle_fracs: Sequence[float] = (0.0, 0.5, 1.0),
-                                settings: Optional[RunnerSettings] = None,
-                                mixes: Optional[Sequence[str]] = None
-                                ) -> ExperimentResult:
-    """Figure 15: sweep MC/register idle power (power proportionality)."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(i, scaled_config().with_power(proportionality_idle_frac=i))
-               for i in idle_fracs]
-    return _sweep(configs, settings, mixes, "fig15_proportionality",
-                  "idle_frac")
-
-
-def timeline(runner: ExperimentRunner, mix: str) -> ExperimentResult:
-    """Figures 7/8: per-epoch frequency / CPI / utilization series."""
-    result_run, cmp = runner.run_memscale(mix)
-    result = ExperimentResult(f"timeline_{mix}",
-                              notes=f"worst CPI increase "
-                                    f"{cmp.worst_cpi_increase:.1%}")
-    for sample in result_run.timeline:
-        result.rows.append({
-            "time_us": sample.time_ns / 1000.0,
-            "bus_mhz": sample.bus_mhz,
-            "app_cpi": dict(sample.app_cpi),
-            "mean_channel_util": float(sample.channel_util.mean()),
-            "memory_power_w": sample.memory_power_w,
-        })
-    return result
+def timeline(runner: ExperimentRunner, mix: str
+             ) -> Tuple[List[Dict[str, object]], PolicyComparison]:
+    """Figures 7/8: per-epoch frequency / CPI / utilization rows of a
+    MemScale run on ``mix``, plus the run's baseline comparison."""
+    result, cmp = runner.run_memscale(mix)
+    rows = [{
+        "time_us": sample.time_ns / 1000.0,
+        "bus_mhz": sample.bus_mhz,
+        "app_cpi": dict(sample.app_cpi),
+        "mean_channel_util": float(sample.channel_util.mean()),
+        "memory_power_w": sample.memory_power_w,
+    } for sample in result.timeline]
+    return rows, cmp
 
 
 def best_static_frequency(runner: ExperimentRunner, mix: str,

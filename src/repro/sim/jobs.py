@@ -27,8 +27,6 @@ entry and one spec builder.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +35,7 @@ from repro.config import SystemConfig
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.core.governor import Governor
 from repro.scenarios.devices import apply_device, lookup_device
+from repro.sim.cache import content_digest
 from repro.sim.results import PolicyComparison, RunResult
 from repro.sim.runner import ExperimentRunner
 
@@ -48,12 +47,6 @@ SERVICE_FORMAT = 1
 #: configured MemScale bound: self-refresh wake-ups and migration copy
 #: traffic add latency the frequency policy does not model.
 PLACEMENT_CPI_SLACK = 0.05
-
-
-def content_digest(payload: Dict[str, object]) -> str:
-    """Stable sha256 of a JSON-serializable payload (canonical form)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -289,11 +282,12 @@ def policy_specs(mixes: Sequence[str],
 
 
 SWEEP_HEADERS = ["workload", "policy", "mem savings", "sys savings",
-                 "worst CPI", "job wall"]
+                 "avg CPI", "worst CPI", "job wall"]
 
 
 def sweep_table(outcomes: Sequence[object]) -> List[List[str]]:
-    """Rows (mix, point, savings, CPI, wall) for a plain-text report.
+    """Rows (mix, point, savings, average and worst CPI increase, wall)
+    for a plain-text report.
 
     :class:`JobFailure` entries render as FAILED rows carrying the
     exception class, so a partially failed sweep still prints.
@@ -302,12 +296,13 @@ def sweep_table(outcomes: Sequence[object]) -> List[List[str]]:
     for o in outcomes:
         if isinstance(o, JobFailure):
             rows.append([o.mix, o.label.split("/", 1)[-1], "FAILED",
-                         o.error_type, "-", f"{o.wall_s:.2f}s"])
+                         o.error_type, "-", "-", f"{o.wall_s:.2f}s"])
             continue
         rows.append([
             o.mix, o.spec.point,
             f"{o.comparison.memory_energy_savings:+.1%}",
             f"{o.comparison.system_energy_savings:+.1%}",
+            f"{o.comparison.avg_cpi_increase:+.1%}",
             f"{o.comparison.worst_cpi_increase:+.1%}",
             f"{o.wall_s:.2f}s",
         ])

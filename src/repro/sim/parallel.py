@@ -63,7 +63,7 @@ from repro.cpu.trace import WorkloadTrace
 from repro.cpu.workloads import known_mix_names
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.jobs import (KINDS, JobFailure, JobSpec, SweepOutcome,
-                            policy_specs)
+                            policy_specs, split_outcomes)
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, POLICY_NAMES,
                               ExperimentRunner, RunnerSettings)
 from repro.sim.telemetry import JsonlTelemetry
@@ -424,17 +424,22 @@ def generate_traces(mixes: Sequence[str],
                     jobs: Optional[int] = None,
                     cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR
                     ) -> Dict[str, WorkloadTrace]:
-    """Build (or load from cache) the traces of ``mixes``, in parallel."""
+    """Build (or load from cache) the traces of ``mixes``, in parallel.
+
+    Raises :class:`RuntimeError` with the failure summaries if any mix
+    fails.
+    """
     mixes = list(mixes)
     _check_inputs(mixes, [])
     settings = settings if settings is not None else RunnerSettings()
     if jobs is None:
         jobs = default_jobs()
     cache_dir = str(cache_dir) if cache_dir is not None else None
-    args = [(settings, mix, cache_dir) for mix in mixes]
-    if jobs == 1 or len(mixes) <= 1:
-        pairs = [_build_trace(a) for a in args]
-    else:
-        with _executor(jobs) as pool:
-            pairs = list(pool.map(_build_trace, args))
-    return dict(pairs)
+    outcomes = execute_jobs(_build_trace,
+                            [(settings, mix, cache_dir) for mix in mixes],
+                            mixes, jobs if len(mixes) > 1 else 1)
+    good, failed = split_outcomes(outcomes)
+    if failed:
+        raise RuntimeError("trace generation failed:\n  "
+                           + "\n  ".join(f.summary() for f in failed))
+    return dict(good)

@@ -51,9 +51,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.config import (ConfigError, SystemConfig, config_from_dict,
                           config_to_dict, scaled_config)
-from repro.sim.cache import config_fingerprint
-from repro.sim.jobs import (SERVICE_FORMAT, JobFailure, JobSpec,
-                            content_digest)
+from repro.sim.cache import config_fingerprint, content_digest
+from repro.sim.jobs import SERVICE_FORMAT, JobFailure, JobSpec
 from repro.sim.parallel import default_jobs, run_jobs
 from repro.sim.runner import RunnerSettings
 from repro.sim.store import (ResultStore, failure_record, ok_record,

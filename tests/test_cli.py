@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import scaled_config
+from repro.sim.experiments import FIGURES
 
 SCALE = ["--instructions", "25000"]
 
@@ -68,11 +70,21 @@ class TestCommands:
         assert code == 0
         assert "bus MHz" in out
 
-    def test_figure_5(self, capsys):
-        code, out = run_cli(capsys, "figure", "5", *SCALE)
+    @pytest.mark.parametrize("number", sorted(FIGURES))
+    def test_figure(self, capsys, number):
+        code, out = run_cli(capsys, "figure", str(number),
+                            "--instructions", "8000", "--cores", "4")
         assert code == 0
-        assert "fig5_6_energy_savings" in out
-        assert "MEM1" in out
+        figure = FIGURES[number]
+        for value, _ in figure.variants(scaled_config()):
+            assert figure.title(value) in out
+        assert "avg CPI" in out and "worst CPI" in out
+        rows = [line.split()[:2] for line in out.splitlines()
+                if line.split()[:1] and line.split()[0] in figure.mixes]
+        assert rows == [[mix, policy]
+                        for _ in figure.variants(scaled_config())
+                        for mix in figure.mixes
+                        for policy in figure.policies]
 
     def test_figure_unsupported(self, capsys):
         with pytest.raises(SystemExit):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import scaled_config
-from repro.cpu.trace import columnar_sidecar_path
 from repro.cpu.workloads import MIXES
 from repro.sim.cache import ExperimentCache
 from repro.sim.jobs import JobFailure, JobSpec, split_outcomes, sweep_table
@@ -133,22 +132,6 @@ class TestCache:
         # every core slices the same on-disk map — the zero-copy fan-out
         assert all(c.gaps.base is base for c in trace.cores)
 
-    def test_legacy_npz_entry_is_still_readable(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        runner = ExperimentRunner(settings=SETTINGS, cache=cache)
-        expected = runner.trace("MID1")
-        key = cache.trace_key("MID1", SETTINGS.cores,
-                              SETTINGS.instructions_per_core, SETTINGS.seed)
-        # rewrite the entry as an old-format compressed archive
-        cache._trace_path(key).unlink()
-        columnar_sidecar_path(cache._trace_path(key)).unlink()
-        expected.save(cache._legacy_trace_path(key))
-        cache2 = ExperimentCache(tmp_path)
-        trace = ExperimentRunner(settings=SETTINGS, cache=cache2).trace("MID1")
-        assert cache2.hits == 1
-        assert trace.rpki == expected.rpki
-        assert cache2.entries == 1
-
     def test_stats_reports_counts_and_footprint(self, tmp_path):
         cache = ExperimentCache(tmp_path / "c")
         empty = cache.stats()
@@ -159,7 +142,6 @@ class TestCache:
         runner.baseline("MID1")
         stats = cache.stats()
         assert stats["trace_entries"] == 1
-        assert stats["legacy_trace_entries"] == 0
         assert stats["run_entries"] == 1
         assert stats["total_bytes"] > 0
         assert stats["root"] == str(cache.root)
@@ -294,6 +276,13 @@ class TestGenerateTraces:
         traces = generate_traces(list(MIXES)[:3], settings=SETTINGS,
                                  jobs=1, cache_dir=None)
         assert len(traces) == 3
+
+    def test_failed_mix_raises_with_its_summary(self, tmp_path):
+        # An imported-trace mix missing from the cache fails in the
+        # worker; the other mix still builds but the call raises.
+        with pytest.raises(RuntimeError, match=r"trace:absent: ValueError"):
+            generate_traces(["MID1", "trace:absent"], settings=SETTINGS,
+                            jobs=2, cache_dir=tmp_path / "c")
 
 
 # -- fault isolation --------------------------------------------------------
